@@ -7,17 +7,21 @@
  * orders of magnitude cheaper to make sweeping 10^5-10^6
  * configurations routine).
  *
- * Reports the batched hot path (predictTraces -> predictMany per
- * coefficient model), the scalar per-point path for comparison, and a
- * small end-to-end adaptive exploration. `--json <path>` additionally
+ * Reports the batched hot path (predictTraces, a one-predictor grid
+ * kernel), the scalar per-point path for comparison, the explorer's
+ * sweep shape — a 2-scenario x cpi/power/avf bank compiled into one
+ * GridKernel, with its distinct/raw RBF unit counts — and a small
+ * end-to-end adaptive exploration. `--json <path>` additionally
  * records the numbers machine-readably (core/report JSON conventions)
  * so BENCH_explore.json perf trajectories can accumulate.
  */
 
 #include <chrono>
+#include <cmath>
 
 #include "bench/common.hh"
 #include "campaign/report.hh"
+#include "core/grid_kernel.hh"
 #include "core/scenario.hh"
 #include "dse/explorer.hh"
 #include "exec/thread_pool.hh"
@@ -64,8 +68,8 @@ main(int argc, char **argv)
                                                             spaceSize);
     const std::size_t chunk = 1024;
 
-    // Batched path: chunked streaming over the pool, one predictMany
-    // per coefficient model per chunk.
+    // Batched path: chunked streaming over the pool, one
+    // predictTraces call per chunk.
     auto t0 = std::chrono::steady_clock::now();
     std::vector<double> chunkMeans((sweepPoints + chunk - 1) / chunk);
     parallelChunks(
@@ -112,10 +116,53 @@ main(int argc, char **argv)
                0)});
     t.print(std::cout);
 
-    // ---- End-to-end adaptive exploration, tiny budget.
-    std::cout << "\nend-to-end exploration (2 scenarios, budget 2):\n";
+    // ---- Bank kernel: the explorer's sweep shape, 2 generated mixed
+    // scenarios x cpi/power/avf trained on one shared plan, compiled
+    // into one GridKernel and timed serially.
     ScenarioSet scenarios;
     auto names = scenarios.addGenerated(WorkloadFamily::Mixed, 7, 2);
+    std::cout << "\ntraining bank predictors (2 scenarios x 3 "
+                 "domains)...\n";
+    std::vector<WaveletNeuralPredictor> bank;
+    for (const auto &name : names) {
+        ExperimentSpec bspec = ctx.spec(name);
+        bspec.scenarios = &scenarios;
+        bspec.domains = {Domain::Cpi, Domain::Power, Domain::Avf};
+        auto bdata = generateExperimentData(bspec);
+        for (Domain d : bspec.domains) {
+            bank.emplace_back();
+            bank.back().train(bdata.space, bdata.trainPoints,
+                              bdata.trainTraces.at(d));
+        }
+    }
+    std::vector<const WaveletNeuralPredictor *> bankRefs;
+    for (const auto &p : bank)
+        bankRefs.push_back(&p);
+    GridKernel kernel(bankRefs);
+    GridScratch ws = kernel.scratch();
+    std::vector<std::size_t> levels;
+    t0 = std::chrono::steady_clock::now();
+    double bankAcc = 0.0;
+    for (std::size_t i = 0; i < sweepPoints; ++i) {
+        data.space.flatTrainIndices(i, levels);
+        kernel.evaluate(levels, ws);
+        bankAcc += ws.trace(kernel.size() - 1)[0];
+    }
+    double bankSec = secondsSince(t0);
+    double bankRate =
+        bankSec > 0.0 ? static_cast<double>(sweepPoints) / bankSec : 0.0;
+
+    TextTable bt("bank kernel (" + fmt(kernel.size()) +
+                 " predictors, one thread)");
+    bt.header({"points", "seconds", "points/sec", "units distinct/raw"});
+    bt.row({fmt(sweepPoints), fmt(bankSec, 3), fmt(bankRate, 0),
+            fmt(kernel.sharedUnits()) + "/" + fmt(kernel.rawUnits())});
+    bt.print(std::cout);
+    if (!std::isfinite(bankAcc))
+        std::cout << "warning: non-finite bank prediction\n";
+
+    // ---- End-to-end adaptive exploration, tiny budget.
+    std::cout << "\nend-to-end exploration (2 scenarios, budget 2):\n";
     ExploreSpec espec;
     espec.base = ctx.spec("");
     espec.base.scenarios = &scenarios;
@@ -150,6 +197,14 @@ main(int argc, char **argv)
                       ? static_cast<double>(scalarPoints) / scalarSec
                       : 0.0);
         doc.set("sweep", std::move(sweep));
+        JsonValue bankRow = JsonValue::object();
+        bankRow.set("predictors", std::uint64_t{kernel.size()});
+        bankRow.set("points", std::uint64_t{sweepPoints});
+        bankRow.set("seconds", bankSec);
+        bankRow.set("points_per_sec", bankRate);
+        bankRow.set("units_distinct", std::uint64_t{kernel.sharedUnits()});
+        bankRow.set("units_raw", std::uint64_t{kernel.rawUnits()});
+        doc.set("bank_kernel", std::move(bankRow));
         JsonValue e2e = JsonValue::object();
         e2e.set("wall_seconds", exploreSec);
         e2e.set("report", exploreToJson(report));

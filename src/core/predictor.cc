@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/grid_kernel.hh"
 #include "wavelet/haar.hh"
 
 namespace wavedyn
@@ -165,57 +166,13 @@ WaveletNeuralPredictor::predictTraces(
     assert(trained());
     if (points.empty())
         return {};
-
-    double margin = 0.1 * (trainHi - trainLo);
-    double lo = trainLo - margin;
-    double hi = trainHi + margin;
-
-    // Process in blocks sized so the normalised inputs and the
-    // per-model prediction columns stay cache resident: one virtual
-    // predictMany per (model, block) amortises dispatch, and the
-    // assembly below reuses one coefficient buffer plus an
-    // allocation-free inverse transform — the per-point allocation
-    // churn of the scalar path (fresh coefficient vector + one
-    // temporary per dyadic level inside haarInverse) is what a sweep
-    // of 10^5-10^6 points cannot afford.
-    constexpr std::size_t kBlock = 256;
-    const bool fastHaar = opts.paperHaar;
+    GridKernel kernel({this});
+    GridScratch ws = kernel.scratch();
     std::vector<std::vector<double>> out;
     out.reserve(points.size());
-    std::vector<std::vector<double>> byModel(models.size());
-    std::vector<double> coeffs(length, 0.0);
-    std::vector<double> scratch(length);
-    for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
-        std::size_t n = std::min(kBlock, points.size() - b0);
-        Matrix x(n, space.dimensions());
-        for (std::size_t r = 0; r < n; ++r) {
-            const DesignPoint &p = points[b0 + r];
-            for (std::size_t c = 0; c < space.dimensions(); ++c)
-                x.at(r, c) = space.param(c).normalize(p[c]);
-        }
-        for (std::size_t s = 0; s < models.size(); ++s)
-            byModel[s] = models[s]->predictMany(x);
-
-        for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = byModel[s][r];
-            std::vector<double> trace;
-            if (fastHaar) {
-                trace.resize(length);
-                haarInverseInto(coeffs.data(), length, trace.data(),
-                                scratch.data());
-            } else {
-                trace = fromCoefficients(coeffs);
-            }
-            // Only the selected slots were written; zero them back so
-            // the buffer is clean for the next point.
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = 0.0;
-            if (opts.clampToTrainingRange)
-                for (double &v : trace)
-                    v = std::min(std::max(v, lo), hi);
-            out.push_back(std::move(trace));
-        }
+    for (const DesignPoint &p : points) {
+        kernel.evaluate(space.trainIndices(p), ws);
+        out.emplace_back(ws.trace(0), ws.trace(0) + length);
     }
     return out;
 }

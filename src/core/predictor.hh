@@ -101,11 +101,11 @@ class WaveletNeuralPredictor
     std::vector<double> predictTrace(const DesignPoint &point) const;
 
     /**
-     * predictTrace for a batch of points — the exploration hot path.
-     * Normalises all points into one matrix and calls each coefficient
-     * model's predictMany once, instead of p x k virtual dispatches
-     * with per-call row building. Bit-identical to calling
-     * predictTrace per point.
+     * predictTrace for a batch of points on the training grid: a
+     * one-predictor GridKernel (core/grid_kernel.hh), the exploration
+     * hot path. Bit-identical to calling predictTrace per point.
+     * @throws std::invalid_argument (DesignSpace::validationError
+     *         text) when a point is off the training grid.
      */
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;
@@ -157,6 +157,9 @@ class WaveletNeuralPredictor
     friend void savePredictor(const WaveletNeuralPredictor &,
                               std::ostream &);
     friend WaveletNeuralPredictor loadPredictor(std::istream &);
+    // The grid kernel inverts non-paper-Haar coefficients through
+    // fromCoefficients so both paths share one transform.
+    friend class GridKernel;
 
   private:
     void trainImpl(const DesignSpace &space,

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/grid_kernel.hh"
 #include "core/suite.hh"
 #include "exec/thread_pool.hh"
 #include "telemetry/telemetry.hh"
@@ -24,93 +25,96 @@ namespace
 using PredictorBank = std::vector<std::map<Domain, WaveletNeuralPredictor>>;
 
 /**
- * Minimised objective scores of @p points under every scenario:
- * val[scenario][objective][point]. The batched predictor path scores a
- * whole chunk with one predictMany per coefficient model — the sweep
- * hot path.
+ * The bank compiled for on-grid scoring: predictor s * domains.size()
+ * + i is scenario s's domains[i] predictor.
  */
-std::vector<std::vector<std::vector<double>>>
-scenarioObjectiveScores(const PredictorBank &bank,
-                        const std::vector<Domain> &domains,
-                        const std::vector<Objective> &objectives,
-                        const std::vector<DesignPoint> &points)
+GridKernel
+compileBank(const PredictorBank &bank, const std::vector<Domain> &domains)
 {
-    std::vector<std::vector<std::vector<double>>> val(bank.size());
-    for (std::size_t s = 0; s < bank.size(); ++s) {
-        std::map<Domain, std::vector<std::vector<double>>> traces;
+    std::vector<const WaveletNeuralPredictor *> preds;
+    for (const auto &perScenario : bank)
         for (Domain d : domains)
-            traces[d] = bank[s].at(d).predictTraces(points);
-        val[s].assign(objectives.size(),
-                      std::vector<double>(points.size(), 0.0));
-        // One map node per domain for the whole loop; per point only
-        // the trace vectors move in — no map churn on the hot path.
-        std::map<Domain, std::vector<double>> one;
-        for (Domain d : domains)
-            one[d];
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            for (Domain d : domains)
-                one.at(d) = std::move(traces[d][i]);
-            for (std::size_t k = 0; k < objectives.size(); ++k)
-                val[s][k][i] = objectiveScore(objectives[k], one);
-        }
-    }
-    return val;
+            preds.push_back(&perScenario.at(d));
+    return GridKernel(preds);
 }
 
 /**
- * Collapse per-scenario scores into per-point FrontPoints: score =
- * scenario mean, value = the raw (un-negated) figure, uncertainty =
+ * Predict one configuration under every scenario and collapse the
+ * per-scenario objective scores into a FrontPoint: score = scenario
+ * mean, value = the raw (un-negated) figure, uncertainty =
  * cross-scenario disagreement (relative spread averaged over
  * objectives). Fixed iteration order keeps every number independent
- * of worker count.
+ * of worker count. @p scores is scratch, scenarios x objectives.
  */
-std::vector<FrontPoint>
-aggregatePoints(const std::vector<Objective> &objectives,
-                std::vector<DesignPoint> points,
-                const std::vector<std::vector<std::vector<double>>> &val)
+FrontPoint
+predictFrontPoint(const GridKernel &kernel,
+                  const std::vector<std::size_t> &levels, GridScratch &ws,
+                  const std::vector<Domain> &domains,
+                  const std::vector<Objective> &objectives,
+                  std::vector<double> &scores)
 {
-    std::size_t scen = val.size();
-    std::vector<FrontPoint> out;
-    out.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        FrontPoint fp;
-        fp.point = std::move(points[i]);
-        fp.scores.reserve(objectives.size());
-        fp.values.reserve(objectives.size());
-        double disagree = 0.0;
-        for (std::size_t k = 0; k < objectives.size(); ++k) {
-            double sum = 0.0;
-            double lo = val[0][k][i];
-            double hi = lo;
-            for (std::size_t s = 0; s < scen; ++s) {
-                double v = val[s][k][i];
-                sum += v;
-                lo = std::min(lo, v);
-                hi = std::max(hi, v);
-            }
-            double mean = sum / static_cast<double>(scen);
-            fp.scores.push_back(mean);
-            fp.values.push_back(maximised(objectives[k]) ? -mean : mean);
-            disagree += (hi - lo) / (std::fabs(mean) + 1e-12);
+    kernel.evaluate(levels, ws);
+    const std::size_t nobj = objectives.size();
+    const std::size_t scen = kernel.size() / domains.size();
+    for (std::size_t s = 0; s < scen; ++s) {
+        DomainTraceRefs refs;
+        for (std::size_t i = 0; i < domains.size(); ++i) {
+            std::size_t p = s * domains.size() + i;
+            refs[static_cast<std::size_t>(domains[i])] = {
+                ws.trace(p), kernel.traceLength(p)};
         }
-        fp.uncertainty =
-            disagree / static_cast<double>(objectives.size());
-        out.push_back(std::move(fp));
+        for (std::size_t k = 0; k < nobj; ++k)
+            scores[s * nobj + k] = objectiveScore(objectives[k], refs);
     }
-    return out;
+
+    FrontPoint fp;
+    fp.point = kernel.designSpace().pointFromTrainIndices(levels);
+    fp.scores.reserve(nobj);
+    fp.values.reserve(nobj);
+    double disagree = 0.0;
+    for (std::size_t k = 0; k < nobj; ++k) {
+        double sum = 0.0;
+        double lo = scores[k];
+        double hi = lo;
+        for (std::size_t s = 0; s < scen; ++s) {
+            double v = scores[s * nobj + k];
+            sum += v;
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+        }
+        double mean = sum / static_cast<double>(scen);
+        fp.scores.push_back(mean);
+        fp.values.push_back(maximised(objectives[k]) ? -mean : mean);
+        disagree += (hi - lo) / (std::fabs(mean) + 1e-12);
+    }
+    fp.uncertainty = disagree / static_cast<double>(nobj);
+    return fp;
+}
+
+/** Registry counters of the kernel's unit sharing, added per sweep. */
+void
+countSweepUnits(const GridKernel &kernel)
+{
+    static const MetricId raw =
+        metricsRegistry().counter("explore.sweep_units_raw");
+    static const MetricId shared =
+        metricsRegistry().counter("explore.sweep_units_shared");
+    metricsRegistry().add(raw, kernel.rawUnits());
+    metricsRegistry().add(shared, kernel.sharedUnits());
 }
 
 /**
  * One full sweep: stream sweepPoints strided configurations through
- * the bank in chunks, reduce each chunk to its local front on the
- * worker, merge the shards. O(space) work, O(front + chunk) memory.
+ * the compiled bank in chunks, reduce each chunk to its local front on
+ * the worker, merge the shards. O(space) work, O(front + chunk)
+ * memory.
  */
 std::vector<FrontPoint>
-sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
-              const PredictorBank &bank,
+sweepFrontier(const ExploreSpec &spec, const GridKernel &kernel,
               const std::vector<Domain> &domains, std::size_t stride,
               std::size_t sweepPoints)
 {
+    countSweepUnits(kernel);
     std::size_t chunk = spec.chunk ? spec.chunk : 1024;
     std::size_t shardCount = (sweepPoints + chunk - 1) / chunk;
     std::vector<std::vector<FrontPoint>> shards(shardCount);
@@ -119,15 +123,21 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
         parallelChunks(
             ThreadPool::global(), sweepPoints, chunk,
             [&](std::size_t c, std::size_t begin, std::size_t end) {
-                std::vector<DesignPoint> pts;
-                pts.reserve(end - begin);
-                for (std::size_t i = begin; i < end; ++i)
-                    pts.push_back(
-                        space.pointFromFlatTrainIndex(i * stride));
-                auto val = scenarioObjectiveScores(bank, domains,
-                                                   spec.objectives, pts);
-                shards[c] = paretoFront(aggregatePoints(
-                    spec.objectives, std::move(pts), val));
+                GridScratch ws = kernel.scratch();
+                std::vector<std::size_t> levels;
+                std::vector<double> scores(kernel.size() /
+                                           domains.size() *
+                                           spec.objectives.size());
+                std::vector<FrontPoint> scored;
+                scored.reserve(end - begin);
+                for (std::size_t i = begin; i < end; ++i) {
+                    kernel.designSpace().flatTrainIndices(i * stride,
+                                                          levels);
+                    scored.push_back(predictFrontPoint(
+                        kernel, levels, ws, domains, spec.objectives,
+                        scores));
+                }
+                shards[c] = paretoFront(std::move(scored));
             });
     }
     ScopedPhase phase("pareto");
@@ -383,17 +393,19 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     // ---- Round 0: held-out baseline error on the test points the
     // initial campaign already simulated — the pre-refinement yard
     // stick the later rounds are compared against.
+    GridKernel kernel = compileBank(bank, domains);
     {
-        auto val = scenarioObjectiveScores(bank, domains,
-                                           spec.objectives, testPoints);
-        // Aggregate exactly as the sweep does (one rule for the whole
+        // Score exactly as the sweep does (one rule for the whole
         // error table): FrontPoint.scores is the cross-scenario mean.
-        std::vector<FrontPoint> scored =
-            aggregatePoints(spec.objectives, testPoints, val);
+        GridScratch ws = kernel.scratch();
+        std::vector<double> scores(bank.size() * spec.objectives.size());
         std::vector<std::vector<double>> predicted;
-        predicted.reserve(scored.size());
-        for (const auto &fp : scored)
-            predicted.push_back(fp.scores);
+        predicted.reserve(testPoints.size());
+        for (const DesignPoint &p : testPoints)
+            predicted.push_back(
+                predictFrontPoint(kernel, space.trainIndices(p), ws,
+                                  domains, spec.objectives, scores)
+                    .scores);
         std::vector<std::vector<std::map<Domain, std::vector<double>>>>
             actual(testPoints.size());
         for (std::size_t i = 0; i < testPoints.size(); ++i) {
@@ -427,8 +439,8 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
               std::to_string(report.sweepPoints) +
               " configurations through the predictors");
         std::vector<FrontPoint> front =
-            sweepFrontier(spec, space, bank, domains,
-                          report.sweepStride, report.sweepPoints);
+            sweepFrontier(spec, kernel, domains, report.sweepStride,
+                          report.sweepPoints);
         addDistanceUncertainty(front, space, trainPoints);
 
         std::size_t k = std::min(spec.perRound, budgetLeft);
@@ -480,6 +492,7 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
               ": warm-start retraining on " +
               std::to_string(trainPoints.size()) + " points");
         retrainBank(bank, space, trainPoints, trainTraces);
+        kernel = compileBank(bank, domains);
 
         budgetLeft -= stats.simulated;
         ++round;
@@ -489,7 +502,7 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     if (!haveFinalFrontier) {
         phase("final sweep: " + std::to_string(report.sweepPoints) +
               " configurations");
-        finalFrontier = sweepFrontier(spec, space, bank, domains,
+        finalFrontier = sweepFrontier(spec, kernel, domains,
                                       report.sweepStride,
                                       report.sweepPoints);
         addDistanceUncertainty(finalFrontier, space, trainPoints);

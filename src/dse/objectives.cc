@@ -121,28 +121,37 @@ domainsFor(const std::vector<Objective> &objectives)
 namespace
 {
 
-const std::vector<double> &
-traceOf(Domain d, const std::map<Domain, std::vector<double>> &traces)
+const TraceRef &
+traceOf(Domain d, const DomainTraceRefs &traces)
 {
-    auto it = traces.find(d);
-    assert(it != traces.end() && !it->second.empty());
-    return it->second;
+    const TraceRef &t = traces[static_cast<std::size_t>(d)];
+    assert(t.data != nullptr && t.size > 0);
+    return t;
 }
 
 double
-meanTrace(const std::vector<double> &t)
+meanTrace(const TraceRef &t)
 {
     double acc = 0.0;
-    for (double v : t)
-        acc += v;
-    return acc / static_cast<double>(t.size());
+    for (std::size_t i = 0; i < t.size; ++i)
+        acc += t.data[i];
+    return acc / static_cast<double>(t.size);
+}
+
+DomainTraceRefs
+refsOf(const std::map<Domain, std::vector<double>> &traces)
+{
+    DomainTraceRefs refs;
+    for (const auto &entry : traces)
+        refs[static_cast<std::size_t>(entry.first)] = {
+            entry.second.data(), entry.second.size()};
+    return refs;
 }
 
 } // anonymous namespace
 
 double
-objectiveValue(Objective o,
-               const std::map<Domain, std::vector<double>> &traces)
+objectiveValue(Objective o, const DomainTraceRefs &traces)
 {
     switch (o) {
       case Objective::Cpi:
@@ -157,13 +166,13 @@ objectiveValue(Objective o,
         // Intervals hold a fixed instruction count, so per-interval
         // energy is proportional to power_i * cpi_i; the mean of that
         // product is energy per instruction up to the clock period.
-        const auto &cpi = traceOf(Domain::Cpi, traces);
-        const auto &power = traceOf(Domain::Power, traces);
-        assert(cpi.size() == power.size());
+        const TraceRef &cpi = traceOf(Domain::Cpi, traces);
+        const TraceRef &power = traceOf(Domain::Power, traces);
+        assert(cpi.size == power.size);
         double acc = 0.0;
-        for (std::size_t i = 0; i < cpi.size(); ++i)
-            acc += power[i] * cpi[i];
-        return acc / static_cast<double>(cpi.size());
+        for (std::size_t i = 0; i < cpi.size; ++i)
+            acc += power.data[i] * cpi.data[i];
+        return acc / static_cast<double>(cpi.size);
       }
       case Objective::Avf:
         return meanTrace(traceOf(Domain::Avf, traces));
@@ -172,11 +181,24 @@ objectiveValue(Objective o,
 }
 
 double
-objectiveScore(Objective o,
-               const std::map<Domain, std::vector<double>> &traces)
+objectiveScore(Objective o, const DomainTraceRefs &traces)
 {
     double v = objectiveValue(o, traces);
     return maximised(o) ? -v : v;
+}
+
+double
+objectiveValue(Objective o,
+               const std::map<Domain, std::vector<double>> &traces)
+{
+    return objectiveValue(o, refsOf(traces));
+}
+
+double
+objectiveScore(Objective o,
+               const std::map<Domain, std::vector<double>> &traces)
+{
+    return objectiveScore(o, refsOf(traces));
 }
 
 } // namespace wavedyn

@@ -14,6 +14,8 @@
 #ifndef WAVEDYN_DSE_OBJECTIVES_HH
 #define WAVEDYN_DSE_OBJECTIVES_HH
 
+#include <array>
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,6 +64,27 @@ std::vector<Domain> domainsOf(Objective o);
  * set of predictors an exploration has to train.
  */
 std::vector<Domain> domainsFor(const std::vector<Objective> &objectives);
+
+/** A borrowed trace: @p size doubles at @p data. */
+struct TraceRef
+{
+    const double *data = nullptr;
+    std::size_t size = 0;
+};
+
+/**
+ * Borrowed per-domain traces of one run, indexed by Domain. Domains an
+ * objective does not read may stay empty. The sweep scores predicted
+ * traces in place through this form, without building a map per point.
+ */
+using DomainTraceRefs =
+    std::array<TraceRef, static_cast<std::size_t>(Domain::IqAvf) + 1>;
+
+/** objectiveValue over borrowed traces; the one implementation. */
+double objectiveValue(Objective o, const DomainTraceRefs &traces);
+
+/** objectiveScore over borrowed traces. */
+double objectiveScore(Objective o, const DomainTraceRefs &traces);
 
 /**
  * Raw figure of merit from one run's traces (keyed by domain, equal

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/table.hh"
 
@@ -14,8 +15,8 @@ Parameter::levelIndex(double value) const
     for (std::size_t i = 0; i < trainLevels.size(); ++i)
         if (trainLevels[i] == value)
             return i;
-    assert(false && "value is not a training level");
-    return 0;
+    throw std::invalid_argument(name + ": " + fmtParam(value) +
+                                " is not a training level");
 }
 
 double
@@ -130,17 +131,37 @@ DesignSpace::pointFromTestIndices(
     return p;
 }
 
-DesignPoint
-DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
+std::vector<std::size_t>
+DesignSpace::trainIndices(const DesignPoint &point) const
 {
-    DesignPoint p(params.size());
+    std::string err = validationError(point);
+    if (!err.empty())
+        throw std::invalid_argument(err);
+    std::vector<std::size_t> idx(point.size());
+    for (std::size_t i = 0; i < point.size(); ++i)
+        idx[i] = params[i].levelIndex(point[i]);
+    return idx;
+}
+
+void
+DesignSpace::flatTrainIndices(std::size_t flat,
+                              std::vector<std::size_t> &idx) const
+{
+    idx.resize(params.size());
     for (std::size_t i = params.size(); i-- > 0;) {
         std::size_t levels = params[i].levels();
-        p[i] = params[i].trainLevels[flat % levels];
+        idx[i] = flat % levels;
         flat /= levels;
     }
     assert(flat == 0 && "flat index out of range");
-    return p;
+}
+
+DesignPoint
+DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
+{
+    std::vector<std::size_t> idx;
+    flatTrainIndices(flat, idx);
+    return pointFromTrainIndices(idx);
 }
 
 std::vector<std::string>

@@ -33,7 +33,11 @@ struct Parameter
     /** Number of training levels. */
     std::size_t levels() const { return trainLevels.size(); }
 
-    /** Index of a value within trainLevels; asserts when absent. */
+    /**
+     * Index of a value within trainLevels.
+     * @throws std::invalid_argument naming the parameter and value
+     *         when the value is not a training level.
+     */
     std::size_t levelIndex(double value) const;
 
     /** Normalised coordinate of a value: index / (levels-1). */
@@ -92,13 +96,25 @@ class DesignSpace
         const std::vector<std::size_t> &idx) const;
 
     /**
-     * Decode a flat enumeration index into the corresponding training
-     * configuration (mixed-radix, last dimension fastest). Lets a
-     * sweep stream the full cross-product — trainSpaceSize() is
-     * 10^5-10^6 for realistic spaces — in chunks without ever
-     * materialising the point list.
+     * Training level index of every coordinate of an on-grid point:
+     * the inverse of pointFromTrainIndices().
+     * @throws std::invalid_argument with validationError() text when
+     *         the point is not on the training grid.
+     */
+    std::vector<std::size_t> trainIndices(const DesignPoint &point) const;
+
+    /**
+     * Decode a flat enumeration index into per-dimension training
+     * level indices (mixed-radix, last dimension fastest), written to
+     * @p idx (resized to dimensions()). Lets a sweep stream the full
+     * cross-product — trainSpaceSize() is 10^5-10^6 for realistic
+     * spaces — in chunks without ever materialising the point list.
      * @pre flat < trainSpaceSize().
      */
+    void flatTrainIndices(std::size_t flat,
+                          std::vector<std::size_t> &idx) const;
+
+    /** The training configuration at a flat enumeration index. */
     DesignPoint pointFromFlatTrainIndex(std::size_t flat) const;
 
     /** All parameter names in order. */

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/predictor.hh"
 #include "core/sampling.hh"
@@ -127,6 +129,29 @@ TEST(Predictor, BatchedPredictionBitIdenticalToScalar)
         EXPECT_EQ(batch[i], p.predictTrace(pts[i])) << "point " << i;
 
     EXPECT_TRUE(p.predictTraces({}).empty());
+}
+
+TEST(Predictor, BatchedPredictionRejectsOffGridPoints)
+{
+    auto d = makeData(40, 8, 64);
+    WaveletNeuralPredictor p;
+    p.train(d.space, d.train, d.trainTraces);
+
+    // The scalar path interpolates between levels; the batched path
+    // runs on the training grid and must say so instead of indexing
+    // a table with a wrong level.
+    DesignPoint off = d.test[0];
+    off[RobSize] = 100.0;
+    EXPECT_EQ(p.predictTrace(off).size(), 64u);
+    try {
+        p.predictTraces({d.test[1], off});
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()), d.space.validationError(off));
+    }
+
+    DesignPoint shortPoint(d.space.dimensions() - 1, 2.0);
+    EXPECT_THROW(p.predictTraces({shortPoint}), std::invalid_argument);
 }
 
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)

@@ -30,6 +30,8 @@ namespace
 
 const char *kGoldenPath =
     WAVEDYN_TEST_DATA_DIR "/golden_explore_report.txt";
+const char *kLinearGoldenPath =
+    WAVEDYN_TEST_DATA_DIR "/golden_explore_linear_report.txt";
 
 /** The pinned campaign: 3 mixed scenarios, 2 refinement rounds. */
 ExploreSpec
@@ -60,11 +62,13 @@ pinnedScenarios()
 }
 
 std::string
-renderPinnedCampaign(std::size_t jobs, std::size_t chunk = 64)
+renderPinnedCampaign(std::size_t jobs, std::size_t chunk = 64,
+                     CoefficientModel model = CoefficientModel::Rbf)
 {
     ScenarioSet scenarios = pinnedScenarios();
     ExploreSpec spec = pinnedSpec(scenarios);
     spec.chunk = chunk;
+    spec.predictor.model = model;
     setJobs(jobs);
     ExploreReport report = runExplore(spec);
     setJobs(0);
@@ -159,24 +163,40 @@ TEST(Explorer, ZeroBudgetSkipsRefinement)
     EXPECT_FALSE(report.frontier.empty());
 }
 
-TEST(Explorer, GoldenReportMatchesByteForByte)
+/** Compare against a golden file (or rewrite it on request). */
+void
+expectGolden(const std::string &rendered, const char *path)
 {
-    const std::string &rendered = serialRender();
-
     if (std::getenv("WAVEDYN_UPDATE_GOLDEN")) {
-        std::ofstream out(kGoldenPath, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
         out << rendered;
-        GTEST_SKIP() << "golden file regenerated: " << kGoldenPath;
+        GTEST_SKIP() << "golden file regenerated: " << path;
     }
 
-    std::string golden = readFile(kGoldenPath);
+    std::string golden = readFile(path);
     ASSERT_FALSE(golden.empty())
-        << "missing golden file " << kGoldenPath
+        << "missing golden file " << path
         << " (regenerate with WAVEDYN_UPDATE_GOLDEN=1)";
     EXPECT_EQ(rendered, golden)
         << "explorer report drifted from the golden file; if "
            "intentional, regenerate with WAVEDYN_UPDATE_GOLDEN=1";
+}
+
+TEST(Explorer, GoldenReportMatchesByteForByte)
+{
+    expectGolden(serialRender(), kGoldenPath);
+}
+
+TEST(Explorer, LinearModelGoldenReportAtOneAndEightJobs)
+{
+    // Linear coefficient models take the sweep's non-RBF path; the
+    // golden pins it at both job counts.
+    std::string serial =
+        renderPinnedCampaign(1, 64, CoefficientModel::Linear);
+    EXPECT_EQ(serial,
+              renderPinnedCampaign(8, 64, CoefficientModel::Linear));
+    expectGolden(serial, kLinearGoldenPath);
 }
 
 TEST(Explorer, EightJobsReportIdenticalToSerial)

@@ -72,6 +72,27 @@ const char *kSuiteSpecJson = R"({
   }
 })";
 
+/** A small explore spec: its sweep runs through the grid kernel. */
+const char *kExploreSpecJson = R"({
+  "kind": "explore",
+  "scenarios": {
+    "generate": {"family": "mixed", "seed": 7, "count": 2}
+  },
+  "experiment": {
+    "train_points": 10,
+    "test_points": 4,
+    "samples": 16,
+    "interval_instrs": 120
+  },
+  "explore": {
+    "objectives": ["cpi", "energy", "avf"],
+    "budget": 2,
+    "per_round": 2,
+    "chunk": 64,
+    "max_sweep_points": 512
+  }
+})";
+
 /** Sorted (name, ph) multiset of the non-metadata events. */
 std::vector<std::pair<std::string, std::string>>
 spanMultiset(const JsonValue &doc)
@@ -136,6 +157,45 @@ TEST_F(TelemetryGoldenTest, ReportsAreByteIdenticalWithTelemetryOnOff)
         EXPECT_EQ(slurp(out), slurp(plain))
             << "telemetry moved report bytes at jobs=" << jobs;
     }
+}
+
+TEST_F(TelemetryGoldenTest, ExploreReportsAreByteIdenticalWithTelemetryOnOff)
+{
+    std::string explore = dir + "/explore.json";
+    {
+        std::ofstream out(explore, std::ios::binary);
+        out << kExploreSpecJson;
+    }
+    std::string plain = dir + "/explore_plain.txt";
+    ASSERT_EQ(shell(cliPath() + " run " + explore +
+                    " --jobs 1 --no-cache > " + plain),
+              0);
+    ASSERT_FALSE(slurp(plain).empty());
+
+    std::map<int, JsonValue> metrics;
+    for (int jobs : {1, 8}) {
+        std::string tag = std::to_string(jobs);
+        std::string out = dir + "/explore_traced" + tag + ".txt";
+        std::string m = dir + "/explore_m" + tag + ".json";
+        ASSERT_EQ(shell(cliPath() + " run " + explore + " --jobs " + tag +
+                        " --no-cache --trace-out " + dir + "/explore_t" +
+                        tag + ".json --metrics-out " + m + " > " + out),
+                  0);
+        EXPECT_EQ(slurp(out), slurp(plain))
+            << "telemetry moved explore report bytes at jobs=" << jobs;
+        metrics[jobs] = parseJson(slurp(m));
+    }
+
+    // The sweep exports the kernel's unit sharing: a bank trained on
+    // one shared plan holds repeated units, so fewer are distinct.
+    // Both counts are properties of the trained bank, not of timing.
+    std::uint64_t raw = counterOf(metrics[1], "explore.sweep_units_raw");
+    std::uint64_t shared =
+        counterOf(metrics[1], "explore.sweep_units_shared");
+    EXPECT_GT(shared, 0u);
+    EXPECT_LT(shared, raw);
+    EXPECT_EQ(counterOf(metrics[8], "explore.sweep_units_raw"), raw);
+    EXPECT_EQ(counterOf(metrics[8], "explore.sweep_units_shared"), shared);
 }
 
 TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)

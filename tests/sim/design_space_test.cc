@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/design_space.hh"
 
 namespace wavedyn
@@ -177,6 +180,48 @@ TEST(Parameter, LevelIndexFindsValue)
     Parameter p{"x", {1, 2, 4}, {1}};
     EXPECT_EQ(p.levelIndex(1), 0u);
     EXPECT_EQ(p.levelIndex(4), 2u);
+}
+
+TEST(Parameter, LevelIndexThrowsOnOffGridValue)
+{
+    // Release builds must not silently map an off-grid value to
+    // level 0: the grid kernel indexes tables with the result.
+    Parameter p{"ROB_size", {96, 128, 160}, {128}};
+    try {
+        p.levelIndex(100);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("ROB_size"), std::string::npos) << what;
+        EXPECT_NE(what.find("100"), std::string::npos) << what;
+    }
+}
+
+TEST(DesignSpace, TrainIndicesInvertPointFromTrainIndices)
+{
+    auto space = DesignSpace::paper();
+    std::vector<std::size_t> idx;
+    for (std::size_t flat : {std::size_t{0}, std::size_t{12345},
+                             space.trainSpaceSize() - 1}) {
+        space.flatTrainIndices(flat, idx);
+        DesignPoint p = space.pointFromFlatTrainIndex(flat);
+        EXPECT_EQ(space.pointFromTrainIndices(idx), p);
+        EXPECT_EQ(space.trainIndices(p), idx);
+    }
+}
+
+TEST(DesignSpace, TrainIndicesRejectOffGridPoints)
+{
+    auto space = DesignSpace::paper();
+    DesignPoint off = space.pointFromFlatTrainIndex(7);
+    off[L2Lat] = 9.0;
+    try {
+        space.trainIndices(off);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()), space.validationError(off));
+    }
+    EXPECT_THROW(space.trainIndices({2.0}), std::invalid_argument);
 }
 
 TEST(Parameter, SingleLevelNormalizesToZero)
