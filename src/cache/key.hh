@@ -52,11 +52,35 @@ struct CacheKey
 bool operator==(const CacheKey &a, const CacheKey &b);
 bool operator!=(const CacheKey &a, const CacheKey &b);
 
-/** 64-bit FNV-1a over @p bytes starting from @p basis. */
+/**
+ * 64-bit FNV-1a over @p bytes starting from @p basis. The basis is
+ * the running state: hashing a string's head, then continuing from
+ * that result over its tail, equals hashing the whole string.
+ */
 std::uint64_t fnv1a64(const std::string &bytes, std::uint64_t basis);
+
+/** fnv1a64 over the @p size bytes at @p data. */
+std::uint64_t fnv1a64(const char *data, std::size_t size,
+                      std::uint64_t basis);
+
+/**
+ * Head of the key document — the members every run of one benchmark
+ * shares: {"sim_version":...,"benchmark":... (no closing brace).
+ */
+std::string cacheKeyPrefix(const BenchmarkProfile &bench,
+                           const std::string &simVersion = kSimVersion);
+
+/**
+ * Tail of the key document — the per-run members:
+ * ,"config":...,"samples":...,"interval_instrs":...,"dvm":...}
+ */
+std::string cacheKeySuffix(const SimConfig &cfg, std::size_t samples,
+                           std::size_t intervalInstrs,
+                           const DvmConfig &dvm);
 
 /**
  * The canonical key document of one run, as compact JSON text:
+ * cacheKeyPrefix + cacheKeySuffix, i.e.
  * {"sim_version":...,"benchmark":...,"config":...,"samples":...,
  *  "interval_instrs":...,"dvm":...}. Exposed so tests (and the README)
  * can pin the exact bytes the key hashes.
@@ -66,6 +90,28 @@ std::string cacheKeyDocument(const BenchmarkProfile &bench,
                              std::size_t intervalInstrs,
                              const DvmConfig &dvm,
                              const std::string &simVersion = kSimVersion);
+
+/**
+ * Both key halves' FNV-1a state after hashing one cacheKeyPrefix. A
+ * batch of runs over one benchmark hashes the prefix once and finishes
+ * each run's key from this state (finishCacheKey) — the bytes hashed,
+ * and so the keys, are exactly resultCacheKey's.
+ */
+struct CacheKeyPrefixState
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+};
+
+/** Hash cacheKeyPrefix(@p bench, @p simVersion). */
+CacheKeyPrefixState
+cacheKeyPrefixState(const BenchmarkProfile &bench,
+                    const std::string &simVersion = kSimVersion);
+
+/** Continue @p prefix over the run's cacheKeySuffix. */
+CacheKey finishCacheKey(const CacheKeyPrefixState &prefix,
+                        const SimConfig &cfg, std::size_t samples,
+                        std::size_t intervalInstrs, const DvmConfig &dvm);
 
 /** Hash of cacheKeyDocument — the run's content address. */
 CacheKey resultCacheKey(const BenchmarkProfile &bench,

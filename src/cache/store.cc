@@ -4,19 +4,18 @@
 #include "util/atomic_file.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
+#include <string_view>
 #include <system_error>
 
-#ifdef _WIN32
-#include <process.h>
-#else
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace fs = std::filesystem;
 
@@ -36,6 +35,10 @@ constexpr std::uint64_t kChecksumBasis = 0xcbf29ce484222325ull;
 // length field, rejected before allocating.
 constexpr std::uint64_t kMaxVersionBytes = 256;
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
+// magic + format + version length + version + payload length +
+// payload + checksum.
+constexpr std::uint64_t kMaxRecordBytes =
+    4 + 4 + 8 + kMaxVersionBytes + 8 + kMaxPayloadBytes + 8;
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -60,63 +63,66 @@ putDouble(std::string &out, double v)
     putU64(out, bits);
 }
 
-/** Little-endian reader over a byte string; `ok` latches any overrun. */
+/** Little-endian u64 at @p p (the record's byte order). Written out
+ *  byte by byte so optimising compilers fold it into one load. */
+std::uint64_t
+loadU64(const unsigned char *p)
+{
+    return static_cast<std::uint64_t>(p[0]) |
+           static_cast<std::uint64_t>(p[1]) << 8 |
+           static_cast<std::uint64_t>(p[2]) << 16 |
+           static_cast<std::uint64_t>(p[3]) << 24 |
+           static_cast<std::uint64_t>(p[4]) << 32 |
+           static_cast<std::uint64_t>(p[5]) << 40 |
+           static_cast<std::uint64_t>(p[6]) << 48 |
+           static_cast<std::uint64_t>(p[7]) << 56;
+}
+
+double
+loadDouble(const unsigned char *p)
+{
+    std::uint64_t bits = loadU64(p);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+/** Little-endian reader over a byte range; `ok` latches any overrun.
+ *  Fields are read in place — nothing is copied out of the range. */
 struct ByteReader
 {
-    const std::string &buf;
+    const unsigned char *data;
+    std::size_t size;
     std::size_t pos = 0;
     bool ok = true;
 
-    bool take(std::size_t n)
+    /** Start of the next @p n bytes, or nullptr (and !ok) past end. */
+    const unsigned char *take(std::size_t n)
     {
-        if (!ok || buf.size() - pos < n || pos > buf.size()) {
+        if (!ok || size - pos < n) {
             ok = false;
-            return false;
+            return nullptr;
         }
-        return true;
+        const unsigned char *at = data + pos;
+        pos += n;
+        return at;
     }
 
     std::uint32_t u32()
     {
-        if (!take(4))
+        const unsigned char *at = take(4);
+        if (at == nullptr)
             return 0;
         std::uint32_t v = 0;
         for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(buf[pos + i]))
-                 << (8 * i);
-        pos += 4;
+            v |= static_cast<std::uint32_t>(at[i]) << (8 * i);
         return v;
     }
 
     std::uint64_t u64()
     {
-        if (!take(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(buf[pos + i]))
-                 << (8 * i);
-        pos += 8;
-        return v;
-    }
-
-    double f64()
-    {
-        std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    std::string bytes(std::size_t n)
-    {
-        if (!take(n))
-            return {};
-        std::string v = buf.substr(pos, n);
-        pos += n;
-        return v;
+        const unsigned char *at = take(8);
+        return at != nullptr ? loadU64(at) : 0;
     }
 };
 
@@ -150,84 +156,159 @@ encodePayload(const SimResult &result)
     return p;
 }
 
-std::optional<SimResult>
-decodePayload(const std::string &payload)
+// Payload layout: interval count u64, then per interval ten doubles
+// and two u64s, then a fixed trailer of six u64s and one double.
+constexpr std::size_t kIntervalBytes = 12 * 8;
+constexpr std::size_t kTrailerBytes = 7 * 8;
+
+/**
+ * Decode a payload into @p out, reusing its interval storage. Every
+ * field is fixed-width, so a payload is well-formed exactly when its
+ * size matches its interval count; that is checked before anything is
+ * written. On false @p out is untouched.
+ */
+bool
+decodePayloadInto(const unsigned char *p, std::size_t size,
+                  SimResult &out)
 {
-    ByteReader r{payload};
-    std::uint64_t n = r.u64();
-    // Each interval is 12 little-endian u64 fields; an n the payload
-    // cannot possibly hold is a corrupt count, rejected pre-alloc.
-    if (!r.ok || n > payload.size() / (12 * 8))
-        return std::nullopt;
-    SimResult result;
-    result.intervals.resize(static_cast<std::size_t>(n));
-    for (IntervalSample &s : result.intervals) {
-        s.cpi = r.f64();
-        s.ipc = r.f64();
-        s.power = r.f64();
-        s.avf = r.f64();
-        s.iqAvf = r.f64();
-        s.robAvf = r.f64();
-        s.lsqAvf = r.f64();
-        s.dl1MissRate = r.f64();
-        s.l2MissRate = r.f64();
-        s.bpredMissRate = r.f64();
-        s.cycles = r.u64();
-        s.instructions = r.u64();
+    if (size < 8 + kTrailerBytes)
+        return false;
+    std::uint64_t n = loadU64(p);
+    // An n the payload cannot possibly hold is a corrupt count,
+    // rejected before the size product could overflow.
+    if (n > size / kIntervalBytes ||
+        size != 8 + n * kIntervalBytes + kTrailerBytes)
+        return false;
+    p += 8;
+    out.intervals.resize(static_cast<std::size_t>(n));
+    for (IntervalSample &s : out.intervals) {
+        s.cpi = loadDouble(p);
+        s.ipc = loadDouble(p + 8);
+        s.power = loadDouble(p + 16);
+        s.avf = loadDouble(p + 24);
+        s.iqAvf = loadDouble(p + 32);
+        s.robAvf = loadDouble(p + 40);
+        s.lsqAvf = loadDouble(p + 48);
+        s.dl1MissRate = loadDouble(p + 56);
+        s.l2MissRate = loadDouble(p + 64);
+        s.bpredMissRate = loadDouble(p + 72);
+        s.cycles = loadU64(p + 80);
+        s.instructions = loadU64(p + 88);
+        p += kIntervalBytes;
     }
-    result.totalCycles = r.u64();
-    result.totalInstructions = r.u64();
-    result.dvmStats.samples = r.u64();
-    result.dvmStats.triggers = r.u64();
-    result.dvmStats.stallL2Cycles = r.u64();
-    result.dvmStats.stallRatioCycles = r.u64();
-    result.dvmFinalWqRatio = r.f64();
-    if (!r.ok || r.pos != payload.size())
-        return std::nullopt;
-    return result;
+    out.totalCycles = loadU64(p);
+    out.totalInstructions = loadU64(p + 8);
+    out.dvmStats.samples = loadU64(p + 16);
+    out.dvmStats.triggers = loadU64(p + 24);
+    out.dvmStats.stallL2Cycles = loadU64(p + 32);
+    out.dvmStats.stallRatioCycles = loadU64(p + 40);
+    out.dvmFinalWqRatio = loadDouble(p + 48);
+    return true;
 }
+
+/** A parsed record envelope: views into the record's own bytes. */
+struct RecordView
+{
+    std::string_view version;
+    const unsigned char *payload = nullptr;
+    std::size_t payloadSize = 0;
+};
 
 /**
  * Parse the record envelope: magic/format/version/size/payload/
- * checksum. On success fills @p version and @p payload; any defect
- * returns false.
+ * checksum, and that nothing follows the checksum. On success fills
+ * @p view; any defect returns false.
  */
 bool
-openRecord(const std::string &bytes, std::string &version,
-           std::string &payload)
+openRecord(const char *bytes, std::size_t size, RecordView &view)
 {
-    ByteReader r{bytes};
-    std::string magic = r.bytes(4);
-    if (!r.ok || std::memcmp(magic.data(), kMagic, 4) != 0)
+    ByteReader r{reinterpret_cast<const unsigned char *>(bytes), size};
+    const unsigned char *magic = r.take(4);
+    if (magic == nullptr || std::memcmp(magic, kMagic, 4) != 0)
         return false;
     if (r.u32() != kFormatVersion || !r.ok)
         return false;
     std::uint64_t versionLen = r.u64();
     if (!r.ok || versionLen > kMaxVersionBytes)
         return false;
-    version = r.bytes(static_cast<std::size_t>(versionLen));
+    const unsigned char *version =
+        r.take(static_cast<std::size_t>(versionLen));
     std::uint64_t payloadLen = r.u64();
     if (!r.ok || payloadLen > kMaxPayloadBytes)
         return false;
-    payload = r.bytes(static_cast<std::size_t>(payloadLen));
+    const unsigned char *payload =
+        r.take(static_cast<std::size_t>(payloadLen));
     std::uint64_t checksum = r.u64();
-    if (!r.ok || r.pos != bytes.size())
+    if (!r.ok || r.pos != size)
         return false;
-    return checksum == fnv1a64(payload, kChecksumBasis);
+    if (checksum != fnv1a64(reinterpret_cast<const char *>(payload),
+                            static_cast<std::size_t>(payloadLen),
+                            kChecksumBasis))
+        return false;
+    view.version = std::string_view(
+        reinterpret_cast<const char *>(version),
+        static_cast<std::size_t>(versionLen));
+    view.payload = payload;
+    view.payloadSize = static_cast<std::size_t>(payloadLen);
+    return true;
 }
 
+/** Owns one open file descriptor. */
+struct FileHandle
+{
+    int fd;
+
+    explicit FileHandle(int f) : fd(f) {}
+    ~FileHandle()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+    FileHandle(const FileHandle &) = delete;
+    FileHandle &operator=(const FileHandle &) = delete;
+};
+
+/**
+ * Read a whole regular file into @p out with one open and a sized
+ * read. Anything else at the path — nothing, a directory, a FIFO — a
+ * file larger than any record can be, or a read that comes up short of
+ * the size fstat reported (the file was truncated or replaced
+ * mid-read) fails; callers treat that as a miss. O_NONBLOCK keeps
+ * opening a FIFO from waiting for a writer.
+ */
 bool
 readFile(const std::string &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    FileHandle file(
+        ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+    struct stat st;
+    if (file.fd < 0 || ::fstat(file.fd, &st) != 0 ||
+        !S_ISREG(st.st_mode) ||
+        static_cast<std::uint64_t>(st.st_size) > kMaxRecordBytes)
         return false;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (in.bad())
-        return false;
-    out = std::move(data);
+    std::size_t size = static_cast<std::size_t>(st.st_size);
+    out.resize(size);
+    std::size_t got = 0;
+    while (got < size) {
+        ssize_t n = ::read(file.fd, &out[got], size - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        got += static_cast<std::size_t>(n);
+    }
     return true;
+}
+
+/** Decode a whole record into @p out (untouched on false). */
+bool
+decodeRecordInto(const std::string &bytes, const std::string &simVersion,
+                 SimResult &out)
+{
+    RecordView view;
+    return openRecord(bytes.data(), bytes.size(), view) &&
+           view.version == simVersion &&
+           decodePayloadInto(view.payload, view.payloadSize, out);
 }
 
 bool
@@ -238,12 +319,12 @@ recordValid(const std::string &path, const std::string &simVersion,
     std::string bytes;
     if (!readFile(path, bytes))
         return false;
-    std::string version, payload;
-    if (!openRecord(bytes, version, payload))
+    RecordView view;
+    SimResult scratch;
+    if (!openRecord(bytes.data(), bytes.size(), view) ||
+        !decodePayloadInto(view.payload, view.payloadSize, scratch))
         return false;
-    if (!decodePayload(payload))
-        return false;
-    versionMatch = version == simVersion;
+    versionMatch = view.version == simVersion;
     return true;
 }
 
@@ -279,12 +360,10 @@ cacheClockNow()
 std::optional<SimResult>
 decodeSimResult(const std::string &bytes, const std::string &simVersion)
 {
-    std::string version, payload;
-    if (!openRecord(bytes, version, payload))
+    SimResult result;
+    if (!decodeRecordInto(bytes, simVersion, result))
         return std::nullopt;
-    if (version != simVersion)
-        return std::nullopt;
-    return decodePayload(payload);
+    return result;
 }
 
 ResultCache::ResultCache(std::string root, std::string simVersion)
@@ -297,7 +376,12 @@ ResultCache::ResultCache(std::string root, std::string simVersion)
 std::string
 ResultCache::entryPath(const CacheKey &key) const
 {
-    std::string hex = key.hex();
+    return entryPathOf(key.hex());
+}
+
+std::string
+ResultCache::entryPathOf(const std::string &hex) const
+{
     return rootDir + "/" + hex.substr(0, 2) + "/" + hex.substr(2, 2) +
            "/" + hex + kEntrySuffix;
 }
@@ -335,44 +419,57 @@ struct CacheIoMetrics
 std::optional<SimResult>
 ResultCache::load(const CacheKey &key)
 {
+    SimResult result;
+    if (!loadInto(key, result))
+        return std::nullopt;
+    return result;
+}
+
+bool
+ResultCache::loadInto(const CacheKey &key, SimResult &out)
+{
     const CacheIoMetrics &tm = CacheIoMetrics::get();
     std::uint64_t loadStart = telemetryNowUs();
+    std::string hex = key.hex();
     {
         std::lock_guard<std::mutex> lock(memMu);
         if (memCap != 0) {
-            auto it = memIndex.find(key.hex());
+            auto it = memIndex.find(hex);
             if (it != memIndex.end()) {
                 memList.splice(memList.begin(), memList, it->second);
-                SimResult result = it->second->second;
+                out = it->second->second;
                 nHits.fetch_add(1, std::memory_order_relaxed);
                 nMemHits.fetch_add(1, std::memory_order_relaxed);
                 metricsRegistry().add(tm.memHits, 1);
                 metricsRegistry().observe(tm.loadUs,
                                           telemetryNowUs() - loadStart);
-                return result;
+                return true;
             }
         }
     }
-    std::string bytes;
-    if (!readFile(entryPath(key), bytes)) {
+    // One record buffer per thread, reused across loads: a warm probe
+    // reads every entry into the same storage and decodes from it in
+    // place.
+    thread_local std::string bytes;
+    if (!readFile(entryPathOf(hex), bytes)) {
         nMisses.fetch_add(1, std::memory_order_relaxed);
         metricsRegistry().observe(tm.loadUs,
                                   telemetryNowUs() - loadStart);
-        return std::nullopt;
+        return false;
     }
     std::uint64_t decodeStart = telemetryNowUs();
-    std::optional<SimResult> result = decodeSimResult(bytes, version);
+    bool ok = decodeRecordInto(bytes, version, out);
     std::uint64_t decodeEnd = telemetryNowUs();
     metricsRegistry().observe(tm.decodeUs, decodeEnd - decodeStart);
     metricsRegistry().observe(tm.loadUs, decodeEnd - loadStart);
-    if (!result) {
+    if (!ok) {
         nBad.fetch_add(1, std::memory_order_relaxed);
         nMisses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+        return false;
     }
     nHits.fetch_add(1, std::memory_order_relaxed);
-    memoryPut(key.hex(), *result);
-    return result;
+    memoryPut(hex, out);
+    return true;
 }
 
 bool
@@ -387,7 +484,15 @@ ResultCache::store(const CacheKey &key, const SimResult &result)
         nStoreFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    if (!writeFileAtomic(finalPath, encodeSimResult(result, version))) {
+    std::string record = encodeSimResult(result, version);
+    bool published = writeFileAtomic(finalPath, record);
+    // An empty directory squatting on the entry path reads as a miss
+    // and would block every publish; clear it and retry once. A
+    // non-empty one is never removed — that is not the cache's data.
+    if (!published && fs::is_directory(finalPath, ec) &&
+        fs::remove(finalPath, ec))
+        published = writeFileAtomic(finalPath, record);
+    if (!published) {
         nStoreFailures.fetch_add(1, std::memory_order_relaxed);
         metricsRegistry().observe(tm.writeUs,
                                   telemetryNowUs() - storeStart);

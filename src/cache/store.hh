@@ -15,12 +15,15 @@
  *
  * Failure policy: the cache must never make a run wrong or abort a
  * campaign. Any defect in an entry — truncation, a flipped bit caught
- * by the checksum, an unknown format, a sim-version mismatch — reads
- * as a miss and the run is recomputed; store() overwrites the bad
- * entry with a fresh one. Writes go to a unique temp file in the final
- * directory and are published with rename(), which POSIX makes atomic:
- * concurrent writers racing one key both succeed and readers only ever
- * observe complete records.
+ * by the checksum, an unknown format, a sim-version mismatch, or
+ * something other than a regular file at the entry path — reads as a
+ * miss and the run is recomputed; store() overwrites the bad entry
+ * with a fresh one (clearing an empty directory in its way). Loads
+ * read an entry with one open and a sized read and decode it in
+ * place, never copying the payload. Writes go to a unique temp file
+ * in the final directory and are published with rename(), which POSIX
+ * makes atomic: concurrent writers racing one key both succeed and
+ * readers only ever observe complete records.
  *
  * An optional process-local in-memory LRU layer (setMemoryCapacity)
  * fronts the disk store: a bounded number of recently loaded or
@@ -144,6 +147,16 @@ class ResultCache
      *  the disk record. Thread-safe. */
     std::optional<SimResult> load(const CacheKey &key);
 
+    /**
+     * load() decoding straight into @p out: the record is read into a
+     * per-thread buffer and decoded in place, reusing @p out's
+     * interval storage, so a caller that sized @p out beforehand pays
+     * no allocation. Same checks, counters and telemetry as load()
+     * (which delegates here). Returns false on a miss, leaving @p out
+     * unchanged.
+     */
+    bool loadInto(const CacheKey &key, SimResult &out);
+
     /** Publish a result under @p key (atomic rename; last writer
      *  wins). Returns false when nothing was published (read-only or
      *  full cache dir) — a failed store never aborts a campaign, it
@@ -202,6 +215,9 @@ class ResultCache
                      std::int64_t now);
 
   private:
+    /** entryPath() of an already-rendered key hex. */
+    std::string entryPathOf(const std::string &hex) const;
+
     /** Insert/refresh @p key in the LRU layer (no-op when off). */
     void memoryPut(const std::string &keyHex, const SimResult &result);
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <unordered_map>
 #include <utility>
 
 #include "cache/key.hh"
@@ -22,6 +23,7 @@ struct SchedulerMetrics
     wavedyn::MetricId storeFailures;
     wavedyn::MetricId runUs;   //!< per-run simulate duration
     wavedyn::MetricId probeUs; //!< whole probe phase duration
+    wavedyn::MetricId keyUs;   //!< per-run key derivation
     wavedyn::MetricId storeUs; //!< per-store publish duration
     std::size_t hitRate;       //!< gauge index
 
@@ -39,6 +41,7 @@ struct SchedulerMetrics
             s.storeFailures = reg.counter("cache.store_failures");
             s.runUs = reg.histogram("sim.run_us");
             s.probeUs = reg.histogram("cache.probe_us");
+            s.keyUs = reg.histogram("cache.key_us");
             s.storeUs = reg.histogram("cache.store_us");
             s.hitRate = reg.gauge("cache.hit_rate");
             return s;
@@ -93,49 +96,80 @@ RunScheduler::run(ThreadPool &pool)
     SpanTracer &tracer = spanTracer();
 
     // Probe phase: resolve every unresolved task against the cache
-    // before any worker dispatch. Hits complete here, serially and in
-    // task order; only the misses are handed to the pool.
+    // before any simulation. Pool workers derive each task's key and
+    // load its record straight into the task's result slot; then one
+    // serial pass in task order fires the hit/miss telemetry, cache
+    // events and progress a serial probe would, and hands only the
+    // misses on to simulation. A warm batch costs one probe dispatch.
     std::vector<std::size_t> pending;
+    for (std::size_t i = first; i < tasks.size(); ++i)
+        if (!resolved[i])
+            pending.push_back(i);
     std::vector<CacheKey> pendingKeys;
     if (cache) {
         std::uint64_t probeStart = telemetryNowUs();
         ScopedSpan probeSpan = tracer.span("cache-probe", "cache");
-        for (std::size_t i = first; i < tasks.size(); ++i) {
-            if (resolved[i])
-                continue;
-            const RunTask &t = tasks[i];
-            CacheKey key =
-                resultCacheKey(*t.benchmark, t.config, t.samples,
-                               t.intervalInstrs, t.dvm,
-                               cache->simVersion());
-            std::optional<SimResult> stored = cache->load(key);
-            if (stored) {
-                results[i] = std::move(*stored);
+        std::vector<std::size_t> probe;
+        probe.swap(pending); // the misses refill pending below
+        // Size every slot's interval storage here, on the calling
+        // thread, so a hit decodes into memory this thread allocated:
+        // workers allocating the decoded traces would spread them
+        // over per-thread malloc arenas and raise peak RSS. The key
+        // prefix (sim version + benchmark, the bulk of the key
+        // document) is hashed once per distinct benchmark.
+        std::vector<CacheKeyPrefixState> prefixes(probe.size());
+        std::unordered_map<const BenchmarkProfile *, CacheKeyPrefixState>
+            prefixOf;
+        for (std::size_t k = 0; k < probe.size(); ++k) {
+            const RunTask &t = tasks[probe[k]];
+            results[probe[k]].intervals.reserve(t.samples);
+            auto it = prefixOf.find(t.benchmark);
+            if (it == prefixOf.end())
+                it = prefixOf
+                         .emplace(t.benchmark,
+                                  cacheKeyPrefixState(*t.benchmark,
+                                                      cache->simVersion()))
+                         .first;
+            prefixes[k] = it->second;
+        }
+        std::vector<CacheKey> keys(probe.size());
+        std::vector<char> hit(probe.size(), 0);
+        parallelFor(pool, probe.size(), [&](std::size_t k) {
+            const RunTask &t = tasks[probe[k]];
+            std::uint64_t keyStart = telemetryNowUs();
+            keys[k] = finishCacheKey(prefixes[k], t.config, t.samples,
+                                     t.intervalInstrs, t.dvm);
+            reg.observe(tm.keyUs, telemetryNowUs() - keyStart);
+            hit[k] = cache->loadInto(keys[k], results[probe[k]]) ? 1 : 0;
+        });
+        for (std::size_t k = 0; k < probe.size(); ++k) {
+            std::size_t i = probe[k];
+            std::string hex = keys[k].hex();
+            if (hit[k]) {
                 resolved[i] = 1;
                 reg.add(tm.hits, 1);
                 reg.add(tm.runs, 1);
-                tracer.instant("cache-hit", "cache", "key", key.hex());
+                tracer.instant("cache-hit", "cache", "key", hex);
                 if (events.hit)
-                    events.hit(key.hex());
+                    events.hit(hex);
                 if (progress)
                     progress(done.fetch_add(1,
                                             std::memory_order_relaxed) +
                                  1,
                              total);
             } else {
+                // Simulation replaces the slot wholesale; give back
+                // the storage sized for a hit that did not happen.
+                results[i] = SimResult{};
                 reg.add(tm.misses, 1);
-                tracer.instant("cache-miss", "cache", "key", key.hex());
+                tracer.instant("cache-miss", "cache", "key", hex);
                 if (events.miss)
-                    events.miss(key.hex());
+                    events.miss(hex);
                 pending.push_back(i);
-                pendingKeys.push_back(key);
+                pendingKeys.push_back(keys[k]);
             }
         }
         reg.observe(tm.probeUs, telemetryNowUs() - probeStart);
-    } else {
-        for (std::size_t i = first; i < tasks.size(); ++i)
-            if (!resolved[i])
-                pending.push_back(i);
     }
 
     // Batch grouping: missing tasks that share a run shape

@@ -19,11 +19,16 @@
  *
  * That purity also admits a content-addressed result cache
  * (cache/store.hh): run() probes the attached cache for every fresh
- * task before touching the thread pool, fills hits directly into the
- * result slots, and only the missing tasks enter parallelFor. A warm
- * batch therefore costs zero worker dispatches, and because hits are
- * byte-exact stored results, a campaign's output is identical whether
- * any given run was computed or replayed.
+ * task before simulating anything. The probe itself runs on the pool —
+ * workers derive each task's key (the benchmark's share of the key is
+ * hashed once per batch) and decode its record straight into the
+ * task's result slot, whose storage the calling thread sized up
+ * front. A serial pass in task order then fires every hit/miss event
+ * and progress call from the calling thread, so observers see exactly
+ * the sequence a serial probe produces, and only the missing tasks
+ * are simulated. Because hits are byte-exact stored results, a
+ * campaign's output is identical whether any given run was computed
+ * or replayed.
  *
  * Missing tasks that share a run shape — same benchmark, samples,
  * intervalInstrs, and DVM policy, differing only in machine config —
@@ -62,18 +67,19 @@ namespace wavedyn
  * so the callback must be thread-safe. jobs == 1 degenerates to
  * in-order calls from the calling thread. Cache hits also advance the
  * count (a hit IS the run's completion), fired in task order from the
- * calling thread during the pre-pool probe phase.
+ * calling thread once the probe phase has loaded every hit.
  */
 using RunProgress = std::function<void(std::size_t, std::size_t)>;
 
 /**
  * Result-cache event hooks of one run() batch; each receives the
  * 32-hex-digit cache key of the run. hit/miss fire in task order from
- * the calling thread during the probe phase; store and storeFailed
- * fire from worker threads as recomputed runs are published, so they
- * must be thread-safe. storeFailed reports a store() that could not
- * publish its entry (read-only or full cache dir) — the run itself
- * still succeeded, but the cache will keep missing it. All optional.
+ * the calling thread at the end of the probe phase; store and
+ * storeFailed fire from worker threads as recomputed runs are
+ * published, so they must be thread-safe. storeFailed reports a
+ * store() that could not publish its entry (read-only or full cache
+ * dir) — the run itself still succeeded, but the cache will keep
+ * missing it. All optional.
  */
 struct CacheRunEvents
 {

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/key.hh"
+#include "sim/design_space.hh"
 #include "util/json.hh"
 
 namespace wavedyn
@@ -135,6 +139,95 @@ TEST(CacheKey, Fnv1aKnownVector)
     // Empty input returns the basis untouched.
     EXPECT_EQ(fnv1a64("", 0xcbf29ce484222325ull),
               0xcbf29ce484222325ull);
+}
+
+/**
+ * The oracle's four machines: the baseline plus the all-lowest,
+ * all-highest and a mixed point of the paper's training grid.
+ */
+std::vector<SimConfig>
+oracleConfigs()
+{
+    DesignSpace space = DesignSpace::paper();
+    std::vector<SimConfig> cfgs{SimConfig::baseline()};
+    std::size_t d = space.dimensions();
+    std::vector<std::size_t> lo(d, 0), hi(d), mix(d);
+    for (std::size_t j = 0; j < d; ++j) {
+        hi[j] = space.param(j).levels() - 1;
+        mix[j] = j % space.param(j).levels();
+    }
+    for (const auto *idx : {&lo, &hi, &mix})
+        cfgs.push_back(SimConfig::fromDesignPoint(
+            space, space.pointFromTrainIndices(*idx)));
+    return cfgs;
+}
+
+DvmConfig
+oracleDvm(bool on)
+{
+    DvmConfig dvm;
+    dvm.enabled = on;
+    return dvm;
+}
+
+TEST(CacheKey, MatchesFrozenOracle)
+{
+    // tests/data/cache_keys.txt was generated before the key document
+    // was split into prefix and suffix, and is never regenerated: a
+    // changed line means every cache on disk silently re-keys.
+    std::ifstream in(std::string(WAVEDYN_TEST_DATA_DIR) +
+                     "/cache_keys.txt");
+    ASSERT_TRUE(in.good());
+    std::vector<SimConfig> cfgs = oracleConfigs();
+    std::size_t lines = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string name, cfgTag, dvmTag, hex;
+        fields >> name >> cfgTag >> dvmTag >> hex;
+        const BenchmarkProfile *bench = nullptr;
+        for (const BenchmarkProfile &b : allBenchmarks())
+            if (b.name == name)
+                bench = &b;
+        ASSERT_NE(bench, nullptr) << line;
+        std::size_t c = std::stoul(cfgTag.substr(3));
+        ASSERT_LT(c, cfgs.size()) << line;
+        bool dvmOn = dvmTag == "dvm1";
+        EXPECT_EQ(resultCacheKey(*bench, cfgs[c], 128, 64, oracleDvm(dvmOn))
+                      .hex(),
+                  hex)
+            << line;
+        ++lines;
+    }
+    EXPECT_EQ(lines, allBenchmarks().size() * cfgs.size() * 2);
+}
+
+TEST(CacheKey, PrefixPlusSuffixIsTheDocument)
+{
+    for (const BenchmarkProfile &b : allBenchmarks()) {
+        std::string prefix = cacheKeyPrefix(b);
+        CacheKeyPrefixState state = cacheKeyPrefixState(b);
+        for (const SimConfig &cfg : oracleConfigs())
+            for (bool dvmOn : {false, true}) {
+                DvmConfig dvm = oracleDvm(dvmOn);
+                EXPECT_EQ(prefix + cacheKeySuffix(cfg, 128, 64, dvm),
+                          cacheKeyDocument(b, cfg, 128, 64, dvm))
+                    << b.name;
+                EXPECT_EQ(finishCacheKey(state, cfg, 128, 64, dvm),
+                          resultCacheKey(b, cfg, 128, 64, dvm))
+                    << b.name;
+            }
+    }
+}
+
+TEST(CacheKey, Fnv1aContinuesFromItsBasis)
+{
+    std::string text = "{\"sim_version\":\"x\",\"config\":{}}";
+    for (std::size_t cut = 0; cut <= text.size(); ++cut)
+        EXPECT_EQ(fnv1a64(text.substr(cut),
+                          fnv1a64(text.substr(0, cut), 0x1234ull)),
+                  fnv1a64(text, 0x1234ull))
+            << cut;
 }
 
 } // anonymous namespace

@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "cache/key.hh"
 #include "cache/store.hh"
 #include "sim/simulator.hh"
@@ -464,6 +466,128 @@ TEST_F(ResultCacheTest, MemoryHitIgnoresLaterDiskCorruption)
     EXPECT_TRUE(bitIdentical(*got, r));
     EXPECT_EQ(cache.stats().memHits, 1u);
     EXPECT_EQ(cache.stats().badEntries, 0u);
+}
+
+TEST_F(ResultCacheTest, LoadIntoDecodesIntoPresizedStorage)
+{
+    ResultCache cache(root);
+    CacheKey key{30, 1};
+    SimResult r = sampleResult();
+    cache.store(key, r);
+    SimResult slot;
+    slot.intervals.reserve(r.intervals.size());
+    const IntervalSample *storage = slot.intervals.data();
+    ASSERT_TRUE(cache.loadInto(key, slot));
+    EXPECT_TRUE(bitIdentical(slot, r));
+    EXPECT_EQ(slot.intervals.data(), storage)
+        << "decode reallocated a slot sized for it";
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST_F(ResultCacheTest, LoadIntoLeavesSlotUntouchedOnMiss)
+{
+    ResultCache cache(root);
+    CacheKey key{31, 1};
+    cache.store(key, sampleResult());
+    fs::resize_file(cache.entryPath(key), 40);
+    SimResult other = sampleResult(3);
+    SimResult slot = other;
+    EXPECT_FALSE(cache.loadInto(key, slot));
+    EXPECT_TRUE(bitIdentical(slot, other));
+    EXPECT_FALSE(cache.loadInto(CacheKey{31, 2}, slot));
+    EXPECT_TRUE(bitIdentical(slot, other));
+}
+
+TEST_F(ResultCacheTest, DirectoryAtEntryPathIsMissAndStoreReplacesIt)
+{
+    ResultCache cache(root);
+    CacheKey key{32, 1};
+    fs::create_directories(cache.entryPath(key));
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    // Nothing was read, so nothing was a bad record.
+    EXPECT_EQ(cache.stats().badEntries, 0u);
+
+    // An empty directory squatting on the path is cleared by store().
+    SimResult r = sampleResult();
+    EXPECT_TRUE(cache.store(key, r));
+    auto got = cache.load(key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(bitIdentical(*got, r));
+
+    // A non-empty one is not the cache's to delete: store() fails.
+    CacheKey other{32, 2};
+    fs::create_directories(cache.entryPath(other) + "/keep");
+    EXPECT_FALSE(cache.store(other, r));
+    EXPECT_TRUE(fs::exists(cache.entryPath(other) + "/keep"));
+    EXPECT_FALSE(cache.load(other).has_value());
+}
+
+TEST_F(ResultCacheTest, EntryThatVanishesBeforeReadIsMiss)
+{
+    ResultCache cache(root);
+    CacheKey key{33, 1};
+    cache.store(key, sampleResult());
+    ASSERT_TRUE(cache.load(key).has_value());
+    fs::remove(cache.entryPath(key));
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().badEntries, 0u);
+}
+
+TEST_F(ResultCacheTest, FifoAtEntryPathIsMissWithoutBlocking)
+{
+    // Opening a FIFO for reading would wait for a writer; the load
+    // must not, and must not treat it as a record.
+    ResultCache cache(root);
+    CacheKey key{34, 1};
+    std::string path = cache.entryPath(key);
+    fs::create_directories(fs::path(path).parent_path());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(ResultCacheTest, ShortReadsUnderInPlaceRewritesAreHitOrMiss)
+{
+    // A writer truncating and rewriting the entry in place (not the
+    // cache's atomic rename) makes loads race a file that shrinks and
+    // regrows under them: each load sees fewer bytes than fstat said,
+    // a partial record, or the whole one. Every outcome must be an
+    // exact hit or a miss — never a crash or a wrong result.
+    ResultCache cache(root);
+    CacheKey key{35, 1};
+    SimResult r = sampleResult();
+    cache.store(key, r);
+    std::string path = cache.entryPath(key);
+    std::string record = encodeSimResult(r, kSimVersion);
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        for (int i = 0; i < 300 && !stop; ++i) {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(record.data(),
+                      static_cast<std::streamsize>(
+                          record.size() / 2 + (i % 7) * 16));
+            out.flush();
+            out.write(record.data() + record.size() / 2 + (i % 7) * 16,
+                      static_cast<std::streamsize>(
+                          record.size() - record.size() / 2 -
+                          (i % 7) * 16));
+        }
+    });
+    std::size_t hits = 0;
+    for (int i = 0; i < 300; ++i) {
+        SimResult slot;
+        if (cache.loadInto(key, slot)) {
+            ++hits;
+            EXPECT_TRUE(bitIdentical(slot, r));
+        }
+    }
+    stop = true;
+    writer.join();
+    ResultCacheStats s = cache.stats();
+    EXPECT_EQ(s.hits, hits);
+    EXPECT_EQ(s.hits + s.misses, 300u);
 }
 
 } // anonymous namespace

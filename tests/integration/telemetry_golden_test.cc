@@ -159,6 +159,49 @@ TEST_F(TelemetryGoldenTest, ReportsAreByteIdenticalWithTelemetryOnOff)
     }
 }
 
+TEST_F(TelemetryGoldenTest, WarmSuiteReportsAreByteIdenticalWithTelemetryOnOff)
+{
+    // A warm suite resolves every run in the cache probe; telemetry
+    // times each probe's key, read and decode, and must not move a
+    // byte of the replayed report.
+    std::string cache = " --cache-dir " + dir + "/cache";
+    std::string cold = dir + "/cold.txt";
+    ASSERT_EQ(shell(cliPath() + " run " + spec + " --jobs 2" + cache +
+                    " > " + cold),
+              0);
+    std::string plain = dir + "/warm_plain.txt";
+    ASSERT_EQ(shell(cliPath() + " run " + spec + " --jobs 1" + cache +
+                    " > " + plain),
+              0);
+    EXPECT_EQ(slurp(plain), slurp(cold));
+
+    for (int jobs : {1, 8}) {
+        std::string tag = std::to_string(jobs);
+        std::string out = dir + "/warm_traced" + tag + ".txt";
+        std::string m = dir + "/warm_m" + tag + ".json";
+        ASSERT_EQ(shell(cliPath() + " run " + spec + " --jobs " + tag +
+                        cache + " --trace-out " + dir + "/warm_t" + tag +
+                        ".json --metrics-out " + m + " > " + out),
+                  0);
+        EXPECT_EQ(slurp(out), slurp(cold))
+            << "telemetry moved warm report bytes at jobs=" << jobs;
+
+        // Every run was a probe hit, and each probe's three parts
+        // were timed once.
+        JsonValue metrics = parseJson(slurp(m));
+        std::uint64_t runs = counterOf(metrics, "scheduler.runs");
+        EXPECT_GT(runs, 0u);
+        EXPECT_EQ(counterOf(metrics, "cache.hits"), runs);
+        const JsonValue &hist = metrics.at("histograms");
+        for (const char *name :
+             {"cache.key_us", "cache.load_us", "cache.decode_us"}) {
+            const JsonValue *h = hist.find(name);
+            ASSERT_NE(h, nullptr) << name;
+            EXPECT_EQ(h->at("count").asUint64(), runs) << name;
+        }
+    }
+}
+
 TEST_F(TelemetryGoldenTest, ExploreReportsAreByteIdenticalWithTelemetryOnOff)
 {
     std::string explore = dir + "/explore.json";
