@@ -95,42 +95,65 @@ PowerModel::PowerModel(const SimConfig &cfg) : cfg(cfg)
     leakage = 4.0 * capacity_proxy;
 }
 
+namespace
+{
+
+/**
+ * breakdown()'s keys in std::map order. watts() sums the terms in this
+ * order, the order breakdown()'s map iterates in, so watts() equals
+ * the sum over breakdown() bit for bit (floating-point addition is not
+ * associative, so the order matters).
+ */
+constexpr const char *kTermNames[PowerModel::kTerms] = {
+    "bpred", "clock",  "dcache", "fetch_dispatch", "fu",
+    "icache", "issue_queue", "l2", "leakage", "lsq",
+    "memory", "regfile", "rob",
+};
+
+} // anonymous namespace
+
+std::array<double, PowerModel::kTerms>
+PowerModel::terms(const ActivityCounts &a) const
+{
+    double cyc = static_cast<double>(a.cycles);
+    auto watts_of = [&](double energy) {
+        return energy / cyc * wattsPerUnitPerCycle;
+    };
+    double issued_total =
+        static_cast<double>(a.issuedIntAlu + a.issuedIntMul +
+                            a.issuedFpAlu + a.issuedFpMul + a.issuedMem +
+                            a.issuedControl);
+    return {
+        watts_of(a.bpredLookups * eBpred + a.btbLookups * eBtb),
+        clockTreeWatts,
+        watts_of(a.dl1Accesses * eDl1 + a.dtlbAccesses * eDtlb),
+        watts_of(a.fetched * eFetch + a.dispatched * eDispatch +
+                 a.committed * eCommit),
+        watts_of(a.issuedIntAlu * eIntAlu + a.issuedIntMul * eIntMul +
+                 a.issuedFpAlu * eFpAlu + a.issuedFpMul * eFpMul +
+                 a.issuedMem * eMemPort + a.issuedControl * eIntAlu),
+        watts_of(a.il1Accesses * eIl1 + a.itlbAccesses * eItlb),
+        watts_of(a.iqOccupancySum * eIqPerEntryCycle +
+                 issued_total * eIqSelect),
+        watts_of(a.l2Accesses * eL2),
+        leakage,
+        watts_of(a.lsqOccupancySum * eLsqPerEntryCycle +
+                 a.issuedMem * eLsqSearch),
+        watts_of(a.memAccesses * eMem),
+        watts_of(a.regReads * eRegRead + a.regWrites * eRegWrite),
+        watts_of(a.robOccupancySum * eRobPerEntryCycle),
+    };
+}
+
 PowerBreakdown
 PowerModel::breakdown(const ActivityCounts &a) const
 {
     PowerBreakdown b;
     if (a.cycles == 0)
         return b;
-    double cyc = static_cast<double>(a.cycles);
-    auto put = [&](const char *key, double energy) {
-        b[key] = energy / cyc * wattsPerUnitPerCycle;
-    };
-
-    put("icache", a.il1Accesses * eIl1 + a.itlbAccesses * eItlb);
-    put("dcache", a.dl1Accesses * eDl1 + a.dtlbAccesses * eDtlb);
-    put("l2", a.l2Accesses * eL2);
-    put("memory", a.memAccesses * eMem);
-    put("bpred", a.bpredLookups * eBpred + a.btbLookups * eBtb);
-    put("fetch_dispatch",
-        a.fetched * eFetch + a.dispatched * eDispatch +
-        a.committed * eCommit);
-    double issued_total =
-        static_cast<double>(a.issuedIntAlu + a.issuedIntMul +
-                            a.issuedFpAlu + a.issuedFpMul + a.issuedMem +
-                            a.issuedControl);
-    put("issue_queue",
-        a.iqOccupancySum * eIqPerEntryCycle + issued_total * eIqSelect);
-    put("rob", a.robOccupancySum * eRobPerEntryCycle);
-    put("lsq",
-        a.lsqOccupancySum * eLsqPerEntryCycle +
-        a.issuedMem * eLsqSearch);
-    put("regfile", a.regReads * eRegRead + a.regWrites * eRegWrite);
-    put("fu",
-        a.issuedIntAlu * eIntAlu + a.issuedIntMul * eIntMul +
-        a.issuedFpAlu * eFpAlu + a.issuedFpMul * eFpMul +
-        a.issuedMem * eMemPort + a.issuedControl * eIntAlu);
-    b["clock"] = clockTreeWatts;
-    b["leakage"] = leakage;
+    std::array<double, kTerms> t = terms(a);
+    for (std::size_t i = 0; i < kTerms; ++i)
+        b[kTermNames[i]] = t[i];
     return b;
 }
 
@@ -138,7 +161,9 @@ double
 PowerModel::watts(const ActivityCounts &a) const
 {
     double total = 0.0;
-    for (const auto &[k, v] : breakdown(a))
+    if (a.cycles == 0)
+        return total;
+    for (double v : terms(a))
         total += v;
     return total;
 }

@@ -13,6 +13,8 @@
 #ifndef WAVEDYN_POWER_MODEL_HH
 #define WAVEDYN_POWER_MODEL_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -74,12 +76,18 @@ using PowerBreakdown = std::map<std::string, double>;
 class PowerModel
 {
   public:
+    /** Number of breakdown() components. */
+    static constexpr std::size_t kTerms = 13;
+
     explicit PowerModel(const SimConfig &cfg);
 
-    /** Average power over the activity window, watts. */
+    /**
+     * Average power over the activity window, watts: the sum of the
+     * breakdown() components in key order (0 when no cycles).
+     */
     double watts(const ActivityCounts &a) const;
 
-    /** Per-structure decomposition (sums to watts()). */
+    /** Per-structure decomposition (sums to watts()); for reports. */
     PowerBreakdown breakdown(const ActivityCounts &a) const;
 
     /** Leakage-only component, watts (activity independent). */
@@ -89,6 +97,9 @@ class PowerModel
     double peakDynamicWatts() const;
 
   private:
+    /** The breakdown() components, in key order (needs cycles > 0). */
+    std::array<double, kTerms> terms(const ActivityCounts &a) const;
+
     SimConfig cfg;
 
     // Cached per-access energies (abstract nanojoule-like units).

@@ -38,8 +38,8 @@ Cache::Cache(unsigned size_kb, unsigned assoc, unsigned line_bytes,
         setShift = log2u(numSets);
     }
     std::size_t n = static_cast<std::size_t>(numSets) * assoc;
-    tagA.assign(n, 0);
-    lastUseA.assign(n, 0); // 0 = never filled
+    tagA.assign(n, 0);     // 0 = never filled
+    lastUseA.assign(n, 0);
 }
 
 bool
@@ -55,8 +55,9 @@ Cache::access(std::uint64_t addr)
     std::uint64_t *uses = &lastUseA[base];
 
     // Hit path: scan only the tag lane.
+    const std::uint64_t stored = tag + 1;
     for (unsigned w = 0; w < assoc; ++w) {
-        if (tags[w] == tag && uses[w] != 0) {
+        if (tags[w] == stored) {
             uses[w] = useClock;
             return true;
         }
@@ -76,7 +77,7 @@ Cache::access(std::uint64_t addr)
             victim = w;
         }
     }
-    tags[victim] = tag;
+    tags[victim] = stored;
     uses[victim] = useClock;
     return false;
 }
@@ -89,7 +90,7 @@ Cache::probe(std::uint64_t addr) const
     splitBlock(block, set, tag);
     std::size_t base = static_cast<std::size_t>(set) * assoc;
     for (unsigned w = 0; w < assoc; ++w)
-        if (tagA[base + w] == tag && lastUseA[base + w] != 0)
+        if (tagA[base + w] == tag + 1)
             return true;
     return false;
 }

@@ -109,9 +109,13 @@ class Cache
      * tag lane — 8 bytes per way, sequential — and touches the LRU
      * lane for a single way, which matters because the modeled L2
      * alone is hundreds of KiB of line state per pipeline and a
-     * batch runs many pipelines. lastUseA doubles as the valid bit:
-     * useClock is pre-incremented before any use, so every filled
-     * line has lastUse >= 1 and 0 means "never filled".
+     * batch runs many pipelines. tagA holds tag + 1, so 0 means
+     * "never filled" and the hit test is one compare per way (a tag
+     * is at most addr >> log2(line size), so tag + 1 cannot wrap for
+     * lines above one byte). The
+     * victim choice reads lastUseA, where useClock is pre-incremented
+     * before any use, so a filled line has lastUse >= 1 and 0 again
+     * means "never filled".
      */
     std::vector<std::uint64_t> tagA;
     std::vector<std::uint64_t> lastUseA;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "workload/shared_decode.hh"
 
@@ -46,10 +45,8 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
       iqAvfAcc(cfg.iqSize), robAvfAcc(cfg.robSize),
       lsqAvfAcc(cfg.lsqSize),
       dvmCtl(dvm, cfg.iqSize),
-      window(arena ? RingBuffer<InFlight>(cfg.robSize, *arena)
-                   : RingBuffer<InFlight>(cfg.robSize)),
-      fetchQueue(arena ? RingBuffer<InFlight>(2 * cfg.fetchWidth, *arena)
-                       : RingBuffer<InFlight>(2 * cfg.fetchWidth)),
+      window(arena ? RingBuffer<InFlight>(windowSlots(cfg), *arena)
+                   : RingBuffer<InFlight>(windowSlots(cfg))),
       // Longest schedulable latency: a load missing DTLB, DL1 and L2.
       // Fixed execution latencies are far shorter; the queue grows on
       // demand should a configuration ever exceed the bound. The
@@ -63,10 +60,11 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
                                       cfg.l2Lat + cfg.memLat + 16)),
       fetchCursor(stream)
 {
-    scanSlotMask = window.capacity() - 1;
-    notReadyA.assign(scanSlotMask + 1, 0);
-    iqSeqA.reserve(256 + cfg.iqSize);
-    iqNrbA.reserve(256 + cfg.iqSize);
+    slotMask = window.capacity() - 1;
+    wake.resize(window.capacity());
+    iqBits.assign((window.capacity() + 63) / 64, 0);
+    readyBits.assign(iqBits.size(), 0);
+    scanCap = std::max(32u, 3 * cfg.fetchWidth);
     auto shift_of = [](unsigned v, unsigned &shift, bool &pow2) {
         if (v == 0 || (v & (v - 1)) != 0)
             return;
@@ -84,12 +82,10 @@ Pipeline::arenaBytes(const SimConfig &cfg)
     std::uint64_t horizon =
         cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat + 16;
     std::size_t bytes =
-        static_cast<std::size_t>(ceilPow2(cfg.robSize)) *
+        static_cast<std::size_t>(ceilPow2(windowSlots(cfg))) *
         sizeof(InFlight);
-    bytes += static_cast<std::size_t>(ceilPow2(2 * cfg.fetchWidth)) *
-             sizeof(InFlight);
     bytes += CalendarQueue::arenaBytes(horizon, cfg.robSize + 1);
-    return bytes + 4 * alignof(InFlight); // per-array alignment slack
+    return bytes + 3 * alignof(InFlight); // per-array alignment slack
 }
 
 Pipeline::InFlight *
@@ -98,71 +94,46 @@ Pipeline::entryFor(std::uint64_t seq)
     if (seq < frontSeq)
         return nullptr;
     std::uint64_t idx = seq - frontSeq;
-    if (idx >= window.size())
+    if (idx >= robCount)
         return nullptr;
     return &window[idx];
 }
 
-bool
-Pipeline::depsReady(InFlight &e, std::uint64_t &scanMemo)
-{
-    bool ready = true;
-    std::uint64_t not_before = cycle + 1;
-    for (std::uint32_t dep : {e.op.dep1, e.op.dep2}) {
-        if (dep == 0)
-            continue;
-        std::uint64_t pseq = e.seq - dep;
-        if (pseq < frontSeq)
-            continue; // producer committed long ago
-        std::uint64_t idx = pseq - frontSeq;
-        if (idx >= window.size())
-            continue;
-        const InFlight &p = window[idx];
-        if (!p.issued) {
-            ready = false;
-            // The producer itself cannot issue before its own memo
-            // bound, so this entry cannot be ready before one cycle
-            // later. Bounds only ever hold cycles that were sound
-            // when written, and readiness is monotone in time, so a
-            // stale producer bound is still a valid lower bound —
-            // and the oldest-first scan refreshes producers before
-            // their consumers, collapsing whole dependence chains to
-            // near-exact bounds in a single pass.
-            std::uint64_t pn = notReadyA[pseq & scanSlotMask];
-            if (pn + 1 > not_before)
-                not_before = pn + 1;
-        } else if (p.completeCycle > cycle) {
-            ready = false;
-            if (p.completeCycle > not_before)
-                not_before = p.completeCycle;
-        }
-    }
-    if (!ready) {
-        // Dual write: the scan lane copy drives the skip loop, the
-        // seq-indexed copy serves producer reads above.
-        notReadyA[e.seq & scanSlotMask] = not_before;
-        scanMemo = not_before;
-    }
-    return ready;
-}
-
+template <typename Fn>
 void
-Pipeline::iqListAppend(InFlight &e)
+Pipeline::forEachIssuable(Fn &&fn)
 {
-    notReadyA[e.seq & scanSlotMask] = 0; // readiness unknown
-    // Reclaim the dead prefix before the vectors grow past a couple
-    // of cache lines of garbage; the live span is at most iqSize.
-    if (iqStart >= 256) {
-        iqSeqA.erase(iqSeqA.begin(),
-                     iqSeqA.begin() +
-                         static_cast<std::ptrdiff_t>(iqStart));
-        iqNrbA.erase(iqNrbA.begin(),
-                     iqNrbA.begin() +
-                         static_cast<std::ptrdiff_t>(iqStart));
-        iqStart = 0;
+    // Scan order is slot order starting at the front's slot, wrapping
+    // once: word w0 from bit0 up, the remaining words, then w0 again
+    // below bit0. The ring capacity is a power of two, so the word
+    // count is too (one partial word when the ring has under 64
+    // slots).
+    const std::size_t words = iqBits.size();
+    const std::size_t start = frontSeq & slotMask;
+    const std::size_t w0 = start >> 6;
+    const unsigned bit0 = start & 63;
+    const bool capped = iqOcc > scanCap;
+    unsigned left = readyCount; // ready residents not yet reached
+    unsigned before = 0;        // residents in earlier words
+    for (std::size_t k = 0; k <= words && left > 0; ++k) {
+        std::size_t w = (w0 + k) & (words - 1);
+        std::uint64_t part = k == 0       ? ~0ull << bit0
+                             : k == words ? lowBits(bit0)
+                                          : ~0ull;
+        std::uint64_t iq = iqBits[w] & part;
+        std::uint64_t ready = readyBits[w] & part;
+        while (ready != 0) {
+            unsigned b = ctz64(ready);
+            ready &= ready - 1;
+            if (capped && before + popcount64(iq & lowBits(b)) >= scanCap)
+                return;
+            --left;
+            if (!fn((w << 6) | b))
+                return;
+        }
+        if (capped)
+            before += popcount64(iq);
     }
-    iqSeqA.push_back(e.seq);
-    iqNrbA.push_back(0);
 }
 
 unsigned
@@ -210,6 +181,18 @@ Pipeline::doCompletions()
             --lsqOcc;
             lsqAvfAcc.release(ace.lsq(InstrClass::Load));
         }
+        // Release the consumers waiting on this result.
+        WakeSlot &p = wake[seq & slotMask];
+        p.done = 1;
+        for (std::uint32_t link = p.head; link != kNoLink;) {
+            std::uint32_t c = link >> 1;
+            link = wake[c].next[link & 1];
+            if (--wake[c].waiting == 0) {
+                readyBits[c >> 6] |= 1ull << (c & 63);
+                ++readyCount;
+            }
+        }
+        p.head = kNoLink;
     });
 }
 
@@ -217,7 +200,7 @@ void
 Pipeline::doCommit()
 {
     unsigned done = 0;
-    while (done < cfg.fetchWidth && !window.empty() &&
+    while (done < cfg.fetchWidth && robCount > 0 &&
            totalCommitted < committedTarget) {
         InFlight &e = window.front();
         if (!e.issued || e.completeCycle > cycle)
@@ -248,6 +231,7 @@ Pipeline::doCommit()
         ++totalCommitted;
         ++done;
         window.pop_front();
+        --robCount;
         ++frontSeq;
     }
 }
@@ -256,95 +240,17 @@ void
 Pipeline::doIssue()
 {
     const unsigned issue_width = cfg.fetchWidth;
-    const unsigned scan_cap = std::max(32u, 3 * issue_width);
-
-    if (cycle < issueSleepUntil) {
-        // Asleep: every IQ resident is provably unready, so the scan
-        // would issue nothing and observe ready=0 and — visiting
-        // min(len, cap) entries as waiting, charging the rest to the
-        // beyond-cap remainder — a waiting count of len (len <= cap)
-        // or len - 1 (len > cap). len is frozen while asleep.
-        lastReadyCount = 0;
-        lastWaitingCount = iqOcc <= scan_cap
-                               ? iqOcc
-                               : static_cast<std::uint64_t>(iqOcc) - 1;
-        return;
-    }
+    const std::uint64_t len = iqOcc; // residents at the stage's start
 
     unsigned fu_int_alu = 0, fu_int_mul = 0;
     unsigned fu_fp_alu = 0, fu_fp_mul = 0;
     unsigned fu_mem = 0;
-    unsigned issued = 0, scanned = 0;
-    std::uint64_t ready_seen = 0, waiting_seen = 0;
-    std::uint64_t wake = ~0ull; //!< earliest bound among the unready
+    unsigned issued = 0;
+    std::uint64_t ready_seen = 0;
 
-    // Walk the unissued IQ residents oldest first. The dense arrays
-    // hold exactly the entries the historical full-window walk
-    // considered (inIq && !issued), in the same seq order, so the
-    // scan cap, FU arbitration and DVM observations are unchanged.
-    // Issued entries are removed by compacting in place: survivors
-    // are written back through `wr`, and the unvisited tail (early
-    // break on the cap or the issue width) is shifted down after the
-    // loop.
-    std::size_t rd = iqStart, wr = iqStart, len = iqSeqA.size();
-    for (; rd < len && issued < issue_width; ++rd) {
-        // Fast-forward over runs of memo-waiting entries — the bulk
-        // of every scan — four at a time with a single branch. Each
-        // quad contributes exactly what four scalar iterations would:
-        // four scan slots, four waiting observations, and its minimum
-        // memo bound into the wakeup.
-        while (rd + 4 <= len && scanned + 4 <= scan_cap) {
-            std::uint64_t n0 = iqNrbA[rd], n1 = iqNrbA[rd + 1];
-            std::uint64_t n2 = iqNrbA[rd + 2], n3 = iqNrbA[rd + 3];
-            if (!((n0 > cycle) & (n1 > cycle) & (n2 > cycle) &
-                  (n3 > cycle)))
-                break;
-            scanned += 4;
-            waiting_seen += 4;
-            std::uint64_t m01 = n0 < n1 ? n0 : n1;
-            std::uint64_t m23 = n2 < n3 ? n2 : n3;
-            std::uint64_t m = m01 < m23 ? m01 : m23;
-            if (m < wake)
-                wake = m;
-            if (wr != rd)
-                for (int i = 0; i < 4; ++i) {
-                    iqSeqA[wr + i] = iqSeqA[rd + i];
-                    iqNrbA[wr + i] = iqNrbA[rd + i];
-                }
-            wr += 4;
-            rd += 4;
-        }
-        if (rd >= len)
-            break;
-
-        std::uint64_t cur = iqSeqA[rd];
-        if (++scanned > scan_cap)
-            break;
-
-        // The memo short-circuits everything for entries known to
-        // still be waiting, touching only the scan lanes — never the
-        // window entry.
-        std::uint64_t nrb = iqNrbA[rd];
-        if (nrb > cycle) {
-            ++waiting_seen;
-            if (nrb < wake)
-                wake = nrb;
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb;
-            ++wr;
-            continue;
-        }
-        InFlight &e = liveEntry(cur);
-        if (!depsReady(e, nrb)) {
-            ++waiting_seen;
-            if (nrb < wake) // depsReady refreshed the memo
-                wake = nrb;
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb;
-            ++wr;
-            continue;
-        }
+    forEachIssuable([&](std::size_t slot) {
         ++ready_seen;
+        InFlight &e = window[(slot - frontSeq) & slotMask];
 
         // Per-class functional unit limits.
         bool fu_ok = true;
@@ -379,12 +285,8 @@ Pipeline::doIssue()
                 ++fu_mem;
             break;
         }
-        if (!fu_ok) {
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb; // expired memo: re-check next cycle
-            ++wr;
-            continue;
-        }
+        if (!fu_ok)
+            return true;
 
         // Issue.
         unsigned lat;
@@ -434,8 +336,10 @@ Pipeline::doIssue()
         if (e.op.cls != InstrClass::Store && !isControl(e.op.cls))
             ++activity.regWrites;
 
-        // Free the IQ slot (not writing `cur` back removes it).
-        e.inIq = false;
+        // Free the IQ slot.
+        iqBits[slot >> 6] &= ~(1ull << (slot & 63));
+        readyBits[slot >> 6] &= ~(1ull << (slot & 63));
+        --readyCount;
         assert(iqOcc > 0);
         --iqOcc;
         iqAvfAcc.release(ace.iqWaiting(e.op.cls));
@@ -447,36 +351,17 @@ Pipeline::doIssue()
                 fetchBlockedUntil,
                 e.completeCycle + cfg.frontEndDepth);
         }
-        ++issued;
-    }
+        return ++issued < issue_width;
+    });
 
-    // Reattach the unvisited tail behind the survivors.
-    if (wr != rd) {
-        if (wr == iqStart)
-            iqStart = rd; // every visited entry issued: just advance
-        else {
-            // data() + rd, not &v[rd]: rd may equal len (an empty
-            // tail), and operator[] at size() is out of range.
-            std::memmove(iqSeqA.data() + wr, iqSeqA.data() + rd,
-                         (len - rd) * sizeof(iqSeqA[0]));
-            std::memmove(iqNrbA.data() + wr, iqNrbA.data() + rd,
-                         (len - rd) * sizeof(iqNrbA[0]));
-            iqSeqA.resize(len - (rd - wr));
-            iqNrbA.resize(len - (rd - wr));
-        }
-    }
-
+    // The DVM observations keep the counts of the reference
+    // oldest-first scan (see "Hot-path design notes"): every resident
+    // it visited counts as ready or waiting, residents past its stop
+    // count as waiting, except the one that tripped the cap.
     lastReadyCount = ready_seen;
-    // Entries beyond the scan cap are assumed waiting.
-    std::uint64_t in_iq = iqOcc + issued; // occupancy at scan start
-    lastWaitingCount =
-        waiting_seen + (in_iq > scanned ? in_iq - scanned : 0);
-
-    // Nothing ready anywhere in the scan: sleep until the earliest
-    // bound (entries past the scan cap cannot issue or change the
-    // observations while the population is frozen).
-    if (issued == 0 && ready_seen == 0 && wake != ~0ull)
-        issueSleepUntil = wake;
+    lastWaitingCount = len - ready_seen;
+    if (issued < issue_width && len > scanCap)
+        --lastWaitingCount;
 }
 
 void
@@ -489,9 +374,9 @@ Pipeline::doDispatch()
         return;
 
     unsigned done = 0;
-    while (done < cfg.fetchWidth && !fetchQueue.empty()) {
-        InFlight &e = fetchQueue.front();
-        if (window.size() >= cfg.robSize)
+    while (done < cfg.fetchWidth && robCount < window.size()) {
+        InFlight &e = window[robCount];
+        if (robCount >= cfg.robSize)
             break;
         if (iqOcc >= cfg.iqSize)
             break;
@@ -499,8 +384,7 @@ Pipeline::doDispatch()
         if (mem && lsqOcc >= cfg.lsqSize)
             break;
 
-        e.seq = frontSeq + window.size();
-        e.inIq = true;
+        e.seq = frontSeq + robCount;
         ++iqOcc;
         iqAvfAcc.occupy(ace.iqWaiting(e.op.cls));
         robAvfAcc.occupy(ace.robInFlight(e.op.cls));
@@ -510,14 +394,35 @@ Pipeline::doDispatch()
             lsqAvfAcc.occupy(ace.lsq(e.op.cls));
         }
         ++activity.dispatched;
-        window.push_back(e);
-        iqListAppend(window.back());
-        fetchQueue.pop_front();
+
+        // Hang each operand whose producer is still in the ROB and has
+        // not written back on that producer's wake list.
+        std::uint64_t age = robCount; // == e.seq - frontSeq
+        std::uint32_t slot = static_cast<std::uint32_t>(e.seq & slotMask);
+        WakeSlot &w = wake[slot];
+        w.head = kNoLink;
+        w.waiting = 0;
+        w.done = 0;
+        const std::uint32_t deps[2] = {e.op.dep1, e.op.dep2};
+        for (std::uint32_t k = 0; k < 2; ++k) {
+            if (deps[k] == 0 || deps[k] > age)
+                continue; // no operand, or producer committed
+            WakeSlot &p = wake[(e.seq - deps[k]) & slotMask];
+            if (p.done)
+                continue;
+            w.next[k] = p.head;
+            p.head = (slot << 1) | k;
+            ++w.waiting;
+        }
+        iqBits[slot >> 6] |= 1ull << (slot & 63);
+        if (w.waiting == 0) {
+            readyBits[slot >> 6] |= 1ull << (slot & 63);
+            ++readyCount;
+        }
+
+        ++robCount;
         ++done;
     }
-    // New residents have unknown readiness: wake the issue scan.
-    if (done > 0)
-        issueSleepUntil = 0;
 }
 
 void
@@ -528,8 +433,8 @@ Pipeline::doFetch()
 
     const std::size_t fq_cap = 2 * cfg.fetchWidth;
     unsigned fetched = 0;
-    while (fetched < cfg.fetchWidth && fetchQueue.size() < fq_cap) {
-        InFlight e;
+    while (fetched < cfg.fetchWidth && window.size() - robCount < fq_cap) {
+        InFlight &e = window.push_back(InFlight{});
         // Batched lanes read the shared decode window by absolute
         // index — the same op the private cursor's next() would have
         // produced (workload/shared_decode.hh pins the identity).
@@ -623,7 +528,6 @@ Pipeline::doFetch()
             }
         }
 
-        fetchQueue.push_back(e);
         ++activity.fetched;
         ++fetched;
         if (stop_after)
@@ -642,7 +546,7 @@ Pipeline::cycleOnce()
 
     // End-of-cycle accounting.
     activity.iqOccupancySum += iqOcc;
-    activity.robOccupancySum += window.size();
+    activity.robOccupancySum += robCount;
     activity.lsqOccupancySum += lsqOcc;
     iqAvfAcc.tick();
     robAvfAcc.tick();
@@ -656,53 +560,59 @@ Pipeline::idleCycles()
 {
     // Each stage in turn must be provably inert at the current cycle
     // AND stay inert until some explicit bound — otherwise 0. All the
-    // state the checks read is frozen across inert cycles: commit,
-    // issue, dispatch and fetch are the only mutators, and each is
-    // blocked below. The DVM controller is disabled whenever this
-    // runs (setIdleSkip), so dispatch gating never observes a cycle.
+    // state the checks read is frozen across inert cycles: completion,
+    // commit, issue, dispatch and fetch are the only mutators, each is
+    // blocked below, and the next completion bounds the skip. The DVM
+    // controller is disabled whenever this runs (setIdleSkip), so
+    // dispatch gating never observes a cycle.
 
     // Commit: the head must be absent, unissued, or incomplete.
-    if (!window.empty()) {
+    if (robCount > 0) {
         const InFlight &h = window.front();
         if (h.issued && h.completeCycle <= cycle)
             return 0;
     }
 
-    // Issue: the scan only provably does nothing while asleep (or
-    // with an empty IQ); its wakeup is an explicit bound below.
-    if (iqOcc > 0 && cycle >= issueSleepUntil)
-        return 0;
-
     // Dispatch: the in-order front must be blocked by a full
     // downstream structure (the loop stops at the first such entry).
-    if (!fetchQueue.empty()) {
-        const InFlight &f = fetchQueue.front();
-        if (window.size() < cfg.robSize && iqOcc < cfg.iqSize &&
+    if (robCount < window.size()) {
+        const InFlight &f = window[robCount];
+        if (robCount < cfg.robSize && iqOcc < cfg.iqSize &&
             !(isMem(f.op.cls) && lsqOcc >= cfg.lsqSize))
             return 0;
     }
 
     // Fetch: blocked on a mispredict resolution (cleared only by
-    // issue, asleep above), a full fetch queue (drained only by
+    // issue, inert below), a full fetch queue (drained only by
     // dispatch, blocked above), or a time bound.
     bool fetch_time_blocked = false;
     if (!fetchWaitingResolve &&
-        fetchQueue.size() < 2 * cfg.fetchWidth) {
+        window.size() - robCount < 2 * cfg.fetchWidth) {
         if (cycle >= fetchBlockedUntil)
             return 0;
         fetch_time_blocked = true;
     }
 
+    // Issue: inert exactly when no ready resident is among the oldest
+    // scanCap (with no more residents than that, when none is ready).
+    if (readyCount > 0) {
+        if (iqOcc <= scanCap)
+            return 0;
+        bool any = false;
+        forEachIssuable([&](std::size_t) {
+            any = true;
+            return false;
+        });
+        if (any)
+            return 0;
+    }
+
     // Everything is inert. The machine state cannot change before the
-    // earliest of: the next completion event, the issue-sleep wakeup,
-    // the fetch unblock. (Completions at the current cycle have not
-    // drained yet — cycleOnce does that — so the event scan starts at
-    // `cycle` itself and a due event forces a normal cycle.)
-    std::uint64_t target = ~0ull;
-    if (iqOcc > 0 && issueSleepUntil < target)
-        target = issueSleepUntil;
-    if (fetch_time_blocked && fetchBlockedUntil < target)
-        target = fetchBlockedUntil;
+    // earliest of the next completion event and the fetch unblock.
+    // (Completions at the current cycle have not drained yet —
+    // cycleOnce does that — so the event scan starts at `cycle`
+    // itself and a due event forces a normal cycle.)
+    std::uint64_t target = fetch_time_blocked ? fetchBlockedUntil : ~0ull;
     std::uint64_t ev = completions.nextEventCycle(cycle, target);
     if (ev == cycle)
         return 0;
@@ -721,7 +631,7 @@ Pipeline::skipCycles(std::uint64_t k)
     // adds bitwise (AvfAccumulator::tickMany).
     activity.iqOccupancySum += static_cast<std::uint64_t>(iqOcc) * k;
     activity.robOccupancySum +=
-        static_cast<std::uint64_t>(window.size()) * k;
+        static_cast<std::uint64_t>(robCount) * k;
     activity.lsqOccupancySum += static_cast<std::uint64_t>(lsqOcc) * k;
     AvfAccumulator::tickMany(iqAvfAcc, robAvfAcc, lsqAvfAcc, k);
     activity.cycles += k;
@@ -733,26 +643,13 @@ void
 Pipeline::runInstructions(std::uint64_t count)
 {
     committedTarget = totalCommitted + count;
-    if (idleSkip) {
-        while (totalCommitted < committedTarget) {
-            // Cheap pre-filter: unless the issue stage is provably
-            // inert (idleCycles' own second test), the cycle is
-            // active and the full check would just re-derive that.
-            // Skipping the check never changes results — a normal
-            // cycle is always the ground truth.
-            if (iqOcc == 0 || cycle < issueSleepUntil) {
-                std::uint64_t k = idleCycles();
-                if (k > 0) {
-                    skipCycles(k);
-                    continue;
-                }
-            }
+    while (totalCommitted < committedTarget) {
+        std::uint64_t k = idleSkip ? idleCycles() : 0;
+        if (k > 0)
+            skipCycles(k);
+        else
             cycleOnce();
-        }
-        return;
     }
-    while (totalCommitted < committedTarget)
-        cycleOnce();
 }
 
 AvfSample

@@ -24,20 +24,39 @@
  * Every campaign, exploration round and figure bench bottoms out in
  * this cycle loop, so its data structures are chosen for the per-cycle
  * walks rather than for generality. All of the following preserve
- * simulated results bit for bit (pinned by the golden report tests):
+ * simulated results bit for bit (pinned by the golden report tests
+ * and the frozen SimResult digests in tests/data/sim_digests.txt):
  *
- *  - The ROB and the fetch queue are fixed-capacity power-of-two
- *    RingBuffers (ring_buffer.hh) sized from SimConfig at
- *    construction: no per-push allocation, and depsReady()'s
- *    producer lookups and the commit walk touch contiguous memory.
- *  - Unissued IQ residents are additionally tracked in dense
- *    seq-ordered parallel arrays (iqSeqA/iqNrbA, compacted in place
- *    by the scan itself), so the issue scan visits exactly the
- *    candidates the historical whole-window walk would have
- *    considered — in the same oldest-first order, with the same scan
- *    cap — as a prefetchable sequential read whose common
- *    waiting-entry case never touches the window entries at all and
- *    fast-forwards over waiting runs four entries per branch.
+ *  - The ROB and the fetch queue share one fixed-capacity
+ *    power-of-two RingBuffer (ring_buffer.hh) sized from SimConfig at
+ *    construction: the ROB is its first robCount entries and fetched
+ *    ops queue behind them, so fetch writes each op in place and
+ *    dispatch just advances robCount. No per-push allocation, and the
+ *    commit walk touches contiguous memory. An entry's slot is
+ *    seq & slotMask for its whole life (the ring's head advances with
+ *    frontSeq).
+ *  - Issue is event driven. At dispatch, each operand whose producer
+ *    has not written back hangs an intrusive link
+ *    (consumer slot << 1 | operand) on the producer's slot and counts
+ *    toward the consumer's `waiting`; the "written back?" test reads
+ *    a per-slot byte, not the window entry. The completion drain
+ *    releases the producer's links, and a consumer whose count
+ *    reaches zero sets its bit in the readyBits slot bitset. Readiness
+ *    is therefore exact at every cycle, with no per-cycle producer
+ *    walk.
+ *  - The issue stage walks the iqBits (unissued residents) and
+ *    readyBits slot bitsets oldest first from frontSeq's slot,
+ *    visiting only ready residents. The reference semantics is an
+ *    oldest-first scan of the oldest scanCap residents, so a ready
+ *    bit is in range when fewer than scanCap residents (a popcount)
+ *    precede it; FU arbitration and the issue-width stop are the
+ *    scan's.
+ *  - The DVM observations that scan made are closed forms of the
+ *    resident count `len` and the ready residents visited:
+ *    waiting = len - ready when the walk stops on the issue width or
+ *    len <= scanCap, and len - 1 - ready when the cap cuts the walk
+ *    (the scan counted the entry that tripped the cap as scanned but
+ *    not waiting).
  *  - Completion events live in a CalendarQueue (calendar_queue.hh):
  *    execution latencies are bounded by l2Lat + memLat + tlbMissLat,
  *    so per-cycle buckets replace the former std::priority_queue and
@@ -60,7 +79,7 @@
  *    so the stream is decoded once per batch instead of once per
  *    lane. fetchPosition() lets the driver trim the window to the
  *    slowest lane.
- *  - Arena state: the arena constructor carves the ROB/fetch rings
+ *  - Arena state: the arena constructor carves the ROB/fetch ring
  *    and the calendar queue's bounded node pool (pending completions
  *    never exceed robSize — one per issued, uncommitted entry) from
  *    one batch-owned BatchArena slab instead of N sets of heap
@@ -69,11 +88,14 @@
  *  - Idle-cycle fast-forward: setIdleSkip() lets runInstructions()
  *    jump over provably inert cycles — every stage blocked, with the
  *    earliest possible state change bounded by the next completion
- *    event / issue-sleep wakeup / fetch unblock — in one step, with
- *    exact integer occupancy accounting (occ * k) and bitwise-exact
- *    AVF accumulation (AvfAccumulator::tickMany replays the FP adds
- *    with a fixed-point early exit). The skip is only armed when the
- *    DVM controller is disabled: an enabled controller observes and
+ *    event or fetch unblock — in one step, with exact integer
+ *    occupancy accounting (occ * k) and bitwise-exact AVF
+ *    accumulation (AvfAccumulator::tickMany replays the FP adds with
+ *    a fixed-point early exit). Readiness is exact and only a
+ *    completion changes it, so the issue stage is inert exactly when
+ *    no ready resident sits among the oldest scanCap: every dead
+ *    cycle is skippable. The skip is only armed when the DVM
+ *    controller is disabled: an enabled controller observes and
  *    mutates its window state every cycle, so no cycle is inert.
  *    High-CPI (memory-bound) configurations spend most cycles
  *    waiting on memory, which is where the batched kernel's ~3-5x
@@ -203,19 +225,31 @@ class Pipeline
     const BpredStats &bpredStats() const { return bpStats; }
 
   private:
-    /** Sentinel for the intrusive IQ list links. */
-    static constexpr std::uint64_t kNoSeq = ~0ull;
-
     struct InFlight
     {
         MicroOp op;
         std::uint64_t seq = 0;
         std::uint64_t completeCycle = ~0ull;
         bool issued = false;
-        bool inIq = false;
         bool inLsq = false;
         bool aceCompleted = false; //!< ROB ACE transition applied
         bool mispredicted = false; //!< direction mispredict at fetch
+    };
+
+    /** End of a wake list. */
+    static constexpr std::uint32_t kNoLink = ~0u;
+
+    /**
+     * Wakeup state of one ROB slot (see "Hot-path design notes").
+     * Links are (consumer slot << 1 | operand); next[operand] chains
+     * the producer's list through the consumer's own slot.
+     */
+    struct WakeSlot
+    {
+        std::uint32_t head = kNoLink; //!< consumers waiting on this slot
+        std::uint32_t next[2] = {kNoLink, kNoLink};
+        std::uint8_t waiting = 0; //!< operands not yet written back
+        std::uint8_t done = 0;    //!< this slot's result wrote back
     };
 
     /** Shared body of the public constructors (arena optional). */
@@ -239,25 +273,22 @@ class Pipeline
     /** Account @p k inert cycles exactly and advance the clock. */
     void skipCycles(std::uint64_t k);
 
-    /** Window entry for a sequence number, or nullptr if committed. */
-    InFlight *entryFor(std::uint64_t seq);
-
-    /** Entry known to be live (IQ-list members). No bounds checks. */
-    InFlight &
-    liveEntry(std::uint64_t seq)
+    /** Ring capacity: the ROB plus a full fetch queue behind it. */
+    static std::size_t
+    windowSlots(const SimConfig &cfg)
     {
-        return window[seq - frontSeq];
+        return cfg.robSize + 2 * static_cast<std::size_t>(cfg.fetchWidth);
     }
 
-    /**
-     * Operand readiness; on false, refreshes the entry's wakeup memo
-     * (both the seq-indexed copy in notReadyA and the caller's scan
-     * lane copy) so later cycles skip the producer walk.
-     */
-    bool depsReady(InFlight &e, std::uint64_t &scanMemo);
+    /** ROB entry for a sequence number, or nullptr if committed. */
+    InFlight *entryFor(std::uint64_t seq);
 
-    /** Append a dispatched entry to the unissued-IQ scan array. */
-    void iqListAppend(InFlight &e);
+    /**
+     * Call fn(slot) for each ready IQ resident among the oldest
+     * scanCap residents, oldest first, until fn returns false.
+     */
+    template <typename Fn>
+    void forEachIssuable(Fn &&fn);
 
     /** Load latency through DTLB/DL1/L2/memory; updates stats. */
     unsigned loadLatency(std::uint64_t addr);
@@ -275,9 +306,15 @@ class Pipeline
     AvfAccumulator iqAvfAcc, robAvfAcc, lsqAvfAcc;
     DvmController dvmCtl;
 
-    RingBuffer<InFlight> window; //!< the ROB, oldest first
-    std::uint64_t frontSeq = 0;  //!< seq of window.front()
-    RingBuffer<InFlight> fetchQueue;
+    /**
+     * The ROB, oldest first, in window[0, robCount); the fetch queue
+     * (fetched, not yet dispatched) follows it in
+     * window[robCount, size()). Fetch writes ops straight into the
+     * tail and dispatch only advances robCount.
+     */
+    RingBuffer<InFlight> window;
+    std::size_t robCount = 0;
+    std::uint64_t frontSeq = 0; //!< seq of window.front()
     CalendarQueue completions;
     InstructionStream::Cursor fetchCursor;
     SharedOpWindow *sharedOps = nullptr; //!< batch decode, when set
@@ -285,42 +322,13 @@ class Pipeline
     bool idleSkip = false;      //!< fast-forward armed (batch path)
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over
 
-    /**
-     * Unissued IQ residents in dispatch (= seq) order as parallel
-     * scan lanes: the live span is [iqStart, iqSeqA.size()) of
-     * iqSeqA (entry seq) and iqNrbA (that entry's wakeup memo).
-     * Dispatch appends at the back; the issue scan removes by
-     * compacting in place as it walks (it touches every live element
-     * anyway), so iteration is a dense sequential read the hardware
-     * prefetcher can stream, and runs of memo-waiting entries — the
-     * bulk of every scan — fast-forward four at a time off the
-     * iqNrbA lane alone.
-     *
-     * The wakeup memo means: the entry cannot have ready operands
-     * before the recorded cycle, so the scan skips the producer walk
-     * until then. Producers' completeCycle is immutable once issued,
-     * making the bound exact when every producer has issued; with an
-     * unissued producer it degrades to "recheck next cycle".
-     * notReadyA duplicates the memo keyed by seq & scanSlotMask
-     * (live seqs span less than the window capacity, so slots are
-     * unique among residents) for depsReady's producer reads, which
-     * know the producer's seq but not its scan position.
-     */
-    std::vector<std::uint64_t> iqSeqA;
-    std::vector<std::uint64_t> iqNrbA;
-    std::size_t iqStart = 0;
-    std::vector<std::uint64_t> notReadyA; //!< seq-keyed memo copy
-    std::uint64_t scanSlotMask = 0;
-
-    /**
-     * Issue-stage sleep: when a scan finds every candidate unready,
-     * the earliest memo bound tells the first cycle anything can
-     * change, and the scan until then is pure overhead — its DVM
-     * observations are reproduced in closed form (the IQ population
-     * is frozen while asleep: only issue removes list entries and
-     * any dispatch cancels the sleep).
-     */
-    std::uint64_t issueSleepUntil = 0;
+    // Event-driven issue state, indexed by ROB slot (seq & slotMask).
+    std::uint64_t slotMask = 0;
+    std::vector<WakeSlot> wake;
+    std::vector<std::uint64_t> iqBits;    //!< unissued IQ residents
+    std::vector<std::uint64_t> readyBits; //!< ...whose operands wrote back
+    unsigned readyCount = 0;              //!< set bits in readyBits
+    unsigned scanCap = 0; //!< residents the issue scan considers
 
     std::uint64_t cycle = 0;
     std::uint64_t totalCommitted = 0;
@@ -342,7 +350,7 @@ class Pipeline
     bool il1LinePow2 = false;
     bool pagePow2 = false;
 
-    // DVM observations from the previous issue scan.
+    // DVM observations from the previous issue stage.
     std::uint64_t lastReadyCount = 0;
     std::uint64_t lastWaitingCount = 0;
     std::uint64_t l2MissOutstandingUntil = 0;

@@ -2,14 +2,14 @@
  * @file
  * Fixed-capacity power-of-two ring buffer.
  *
- * The pipeline's in-flight windows (ROB, fetch queue) are FIFO queues
- * with random access by logical index and a hard capacity known at
- * construction (SimConfig sizes). A ring over one flat allocation
- * gives them contiguous storage, O(1) masked indexing, and zero
- * allocations after construction — the properties the per-cycle issue
- * and dependency walks are hot on. Slots never move while an element
- * is alive, so pointers into the buffer stay valid until that
- * element's pop_front().
+ * The pipeline's in-flight window (the ROB with the fetch queue behind
+ * it) is a FIFO queue with random access by logical index and a hard
+ * capacity known at construction (SimConfig sizes). A ring over one
+ * flat allocation gives it contiguous storage, O(1) masked indexing,
+ * and zero allocations after construction — the properties the
+ * per-cycle commit and issue walks are hot on. Slots never move while
+ * an element is alive, so pointers into the buffer stay valid until
+ * that element's pop_front().
  *
  * Storage comes from an owned vector by default, or — for batched
  * runs constructing N pipelines at once (sim/batch.hh) — from a
@@ -79,13 +79,15 @@ class RingBuffer
     T &back() { return (*this)[count - 1]; }
     const T &back() const { return (*this)[count - 1]; }
 
-    /** Append at the back. @pre !full(). */
-    void
+    /** Append at the back; returns the new element. @pre !full(). */
+    T &
     push_back(T v)
     {
         assert(!full());
-        slots()[(head + count) & mask] = std::move(v);
+        T &slot = slots()[(head + count) & mask];
+        slot = std::move(v);
         ++count;
+        return slot;
     }
 
     /** Drop the front element. @pre !empty(). */

@@ -23,6 +23,27 @@ TEST(Cache, ColdMissThenHit)
     EXPECT_EQ(c.stats().misses, 1u);
 }
 
+TEST(Cache, TagZeroMissesFillsThenHits)
+{
+    // Address 0 has tag 0 in set 0, the value a never-filled way
+    // would hold if tags were stored raw.
+    Cache c(32, 4, 64, "t");
+    EXPECT_FALSE(c.probe(0x0));
+    EXPECT_FALSE(c.access(0x0));
+    EXPECT_TRUE(c.probe(0x0));
+    EXPECT_TRUE(c.access(0x0));
+    EXPECT_EQ(c.stats().misses, 1u);
+}
+
+TEST(Cache, ProbeOfNeverFilledSetIsFalse)
+{
+    Cache c(32, 4, 64, "t");
+    c.access(0x40); // fills set 1 only
+    for (std::uint64_t addr : {0x0ull, 0x80ull, 0x1000ull, 0x2000ull})
+        EXPECT_FALSE(c.probe(addr)) << addr;
+    EXPECT_TRUE(c.probe(0x40));
+}
+
 TEST(Cache, LineGranularity)
 {
     Cache c(32, 4, 64, "t");

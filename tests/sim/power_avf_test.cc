@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "avf/estimator.hh"
 #include "power/model.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -119,6 +122,40 @@ TEST(PowerModel, ZeroCyclesSafe)
     ActivityCounts a;
     EXPECT_DOUBLE_EQ(pm.watts(a), 0.0);
     EXPECT_TRUE(pm.breakdown(a).empty());
+}
+
+TEST(PowerModel, WattsIsTheOrderedBreakdownSumBitwise)
+{
+    // watts() sums its terms directly; it must equal, bit for bit,
+    // the sum over breakdown()'s map in key order.
+    Rng rng(20071201);
+    for (int trial = 0; trial < 200; ++trial) {
+        SimConfig cfg = SimConfig::baseline();
+        cfg.fetchWidth = 2u << rng.below(4);
+        cfg.l2SizeKb = 256u << rng.below(5);
+        cfg.iqSize = 32u + 32u * static_cast<unsigned>(rng.below(4));
+        PowerModel pm(cfg);
+        ActivityCounts a;
+        a.cycles = trial % 10 == 0 ? 0 : 1 + rng.below(100000);
+        for (std::uint64_t *f :
+             {&a.fetched, &a.dispatched, &a.issuedIntAlu,
+              &a.issuedIntMul, &a.issuedFpAlu, &a.issuedFpMul,
+              &a.issuedMem, &a.issuedControl, &a.committed,
+              &a.il1Accesses, &a.dl1Accesses, &a.l2Accesses,
+              &a.memAccesses, &a.itlbAccesses, &a.dtlbAccesses,
+              &a.bpredLookups, &a.btbLookups, &a.regReads, &a.regWrites,
+              &a.iqOccupancySum, &a.robOccupancySum,
+              &a.lsqOccupancySum})
+            *f = rng.below(1u << 20);
+        double sum = 0.0;
+        PowerBreakdown b = pm.breakdown(a);
+        EXPECT_EQ(b.size(), a.cycles == 0 ? 0u : PowerModel::kTerms);
+        for (const auto &kv : b)
+            sum += kv.second;
+        double w = pm.watts(a);
+        EXPECT_EQ(std::memcmp(&w, &sum, sizeof w), 0)
+            << "trial " << trial << ": " << w << " vs " << sum;
+    }
 }
 
 TEST(ActivityCounts, AddAccumulates)
