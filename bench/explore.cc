@@ -10,7 +10,9 @@
  * Reports the batched hot path (predictTraces, a one-predictor grid
  * kernel), the scalar per-point path for comparison, the explorer's
  * sweep shape — a 2-scenario x cpi/power/avf bank compiled into one
- * GridKernel, with its distinct/raw RBF unit counts — and a small
+ * GridKernel, with its distinct/raw RBF unit counts — the sweep's
+ * whole per-point scoring on that bank (kernel, objectives and the
+ * online chunk front, scoreChunk), and a small
  * end-to-end adaptive exploration. `--json <path>` additionally
  * records the numbers machine-readably (core/report JSON conventions)
  * so BENCH_explore.json perf trajectories can accumulate.
@@ -161,6 +163,33 @@ main(int argc, char **argv)
     if (!std::isfinite(bankAcc))
         std::cout << "warning: non-finite bank prediction\n";
 
+    // ---- Scoring: the sweep's whole per-point path on the same bank
+    // — kernel, objectives (cpi, energy, avf) and the online chunk
+    // front — chunk by chunk as a worker runs it, timed serially.
+    const std::vector<Domain> bankDomains = {Domain::Cpi, Domain::Power,
+                                             Domain::Avf};
+    const std::vector<Objective> bankObjectives = {
+        Objective::Cpi, Objective::Energy, Objective::Avf};
+    t0 = std::chrono::steady_clock::now();
+    std::size_t chunkFronts = 0;
+    for (std::size_t begin = 0; begin < sweepPoints; begin += chunk)
+        chunkFronts += scoreChunk(kernel, bankDomains, bankObjectives,
+                                  begin,
+                                  std::min(begin + chunk, sweepPoints), 1)
+                           .size();
+    double scoreSec = secondsSince(t0);
+    double scoreRate =
+        scoreSec > 0.0 ? static_cast<double>(sweepPoints) / scoreSec : 0.0;
+
+    TextTable st("scoring (kernel + objectives + chunk front, one "
+                 "thread)");
+    st.header({"points", "seconds", "points/sec", "us/point",
+               "chunk-front points"});
+    st.row({fmt(sweepPoints), fmt(scoreSec, 3), fmt(scoreRate, 0),
+            fmt(scoreRate > 0.0 ? 1e6 / scoreRate : 0.0, 3),
+            fmt(chunkFronts)});
+    st.print(std::cout);
+
     // ---- End-to-end adaptive exploration, tiny budget.
     std::cout << "\nend-to-end exploration (2 scenarios, budget 2):\n";
     ExploreSpec espec;
@@ -205,6 +234,12 @@ main(int argc, char **argv)
         bankRow.set("units_distinct", std::uint64_t{kernel.sharedUnits()});
         bankRow.set("units_raw", std::uint64_t{kernel.rawUnits()});
         doc.set("bank_kernel", std::move(bankRow));
+        JsonValue scoring = JsonValue::object();
+        scoring.set("points", std::uint64_t{sweepPoints});
+        scoring.set("seconds", scoreSec);
+        scoring.set("points_per_sec", scoreRate);
+        scoring.set("chunk_front_points", std::uint64_t{chunkFronts});
+        doc.set("scoring", std::move(scoring));
         JsonValue e2e = JsonValue::object();
         e2e.set("wall_seconds", exploreSec);
         e2e.set("report", exploreToJson(report));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -73,6 +74,38 @@ negligible(double w, double acc)
     return ea != 0 && ea != 0x7ff && ew != 0x7ff && ew <= ea + 32;
 }
 
+/**
+ * The guard of a model with terms @p weights, proving the chain that
+ * sums far responses as 0.0 equal to the reference chain (every term
+ * added, each far one w * exp(-sum) with sum > kFarSum).
+ *
+ * Let maxEw be the largest exponent field of the weights, all finite,
+ * and G = 2^(max(maxEw - 32, 1) - 1023). Write a_0 = b_0 = bias, a_k
+ * for the chain's partial sums and b_k for the reference's. Suppose
+ * |a_k| >= G for every k and the last a_k is finite. Then every a_k
+ * is finite (an infinity or NaN never turns finite again), and its
+ * exponent field is at least max(maxEw - 32, 1): a_k is normal and
+ * nonzero. By induction, a_{k-1} = b_{k-1}. A near term adds the same
+ * product to the same sum, so a_k = b_k. For a far term, ea >= 1,
+ * ea != 0x7ff, ew != 0x7ff and ew <= maxEw <= ea + 32, so negligible(w,
+ * b_{k-1}) holds and b_k = b_{k-1}; and a_k = a_{k-1} + w * 0.0 =
+ * a_{k-1}, since adding a zero to a nonzero double is exact. Hence the
+ * chain's result is the reference's bytes. A non-finite weight gives
+ * G = +inf: the guard then needs every sum infinite and the last one
+ * finite, so it never holds.
+ */
+double
+guardMinimum(const double *weights, std::size_t n)
+{
+    int maxEw = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+        if (!std::isfinite(weights[t]))
+            return std::numeric_limits<double>::infinity();
+        maxEw = std::max(maxEw, exponentField(weights[t]));
+    }
+    return std::ldexp(1.0, std::max(maxEw - 32, 1) - 1023);
+}
+
 } // anonymous namespace
 
 GridKernel::GridKernel(
@@ -106,8 +139,9 @@ GridKernel::GridKernel(
         Pred pred;
         pred.source = p;
         pred.length = p->traceLength();
-        pred.firstModel = models.size();
-        pred.selected = p->selectedCoefficients();
+        pred.offset = preds.empty()
+                          ? 0
+                          : preds.back().offset + preds.back().length;
         pred.paperHaar = p->options().paperHaar;
         pred.clamp = p->options().clampToTrainingRange;
         // The scalar clamp bounds, computed the same way.
@@ -117,8 +151,12 @@ GridKernel::GridKernel(
         pred.hi = trainHi + margin;
         maxLength = std::max(maxLength, pred.length);
 
-        for (const auto &model : p->coefficientModels()) {
+        const std::vector<std::size_t> &selected =
+            p->selectedCoefficients();
+        for (std::size_t k = 0; k < selected.size(); ++k) {
+            const auto &model = p->coefficientModels()[k];
             Model m;
+            m.slot = pred.offset + selected[k];
             const auto *rbf = dynamic_cast<const RbfNetwork *>(model.get());
             if (rbf == nullptr) {
                 m.fallback = model.get();
@@ -144,6 +182,47 @@ GridKernel::GridKernel(
     unitsRaw = termUnit.size();
     unitCount = distinct.size();
 
+    // Group the RBF models by ascending term count, so a group's
+    // lanes need little padding.
+    std::vector<std::uint32_t> rbfOrder;
+    for (std::size_t m = 0; m < models.size(); ++m)
+        (models[m].fallback != nullptr ? fallbackModels : rbfOrder)
+            .push_back(static_cast<std::uint32_t>(m));
+    std::stable_sort(rbfOrder.begin(), rbfOrder.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return models[a].termCount < models[b].termCount;
+                     });
+    for (std::size_t first = 0; first < rbfOrder.size(); first += kLanes) {
+        Group g;
+        g.firstSlot = laneUnit.size();
+        for (std::size_t j = 0; j < kLanes; ++j) {
+            g.model[j] = first + j < rbfOrder.size() ? rbfOrder[first + j]
+                                                     : kNoModel;
+            g.bias[j] = 0.0;
+            g.guardMin[j] = 0.0;
+            if (g.model[j] == kNoModel)
+                continue;
+            const Model &m = models[g.model[j]];
+            g.bias[j] = m.bias;
+            g.guardMin[j] =
+                guardMinimum(termWeight.data() + m.firstTerm, m.termCount);
+            g.length = std::max(g.length, m.termCount);
+        }
+        for (std::size_t t = 0; t < g.length; ++t) {
+            for (std::size_t j = 0; j < kLanes; ++j) {
+                bool real = g.model[j] != kNoModel &&
+                            t < models[g.model[j]].termCount;
+                std::size_t term = real ? models[g.model[j]].firstTerm + t
+                                        : 0;
+                laneUnit.push_back(real ? termUnit[term]
+                                        : static_cast<std::uint32_t>(
+                                              unitCount));
+                laneWeight.push_back(real ? termWeight[term] : -0.0);
+            }
+        }
+        groups.push_back(g);
+    }
+
     // z^2 of every unit at every level of every dimension: the exact
     // expression RbfNetwork::responseAt evaluates.
     zsq.assign(normLevel.size() * unitCount, 0.0);
@@ -163,19 +242,70 @@ GridScratch
 GridKernel::scratch() const
 {
     GridScratch ws;
-    ws.partial.assign(levelCount.size() * unitCount, 0.0);
+    ws.partial.assign((levelCount.size() + 1) * unitCount, 0.0);
     ws.lastLevels.assign(levelCount.size(), SIZE_MAX);
-    ws.response.assign(unitCount, 0.0);
-    ws.coeffs.assign(maxLength, 0.0);
+    ws.response.assign(unitCount + 1, 0.0);
+    ws.nearUnits.assign(unitCount, 0);
     ws.inverse.assign(maxLength, 0.0);
-    std::size_t total = 0;
-    for (const Pred &p : preds) {
-        ws.traceOffset.push_back(total);
-        total += p.length;
-    }
+    for (const Pred &p : preds)
+        ws.traceOffset.push_back(p.offset);
+    const std::size_t total = preds.back().offset + preds.back().length;
+    ws.coeffs.assign(total, 0.0);
     ws.traces.assign(total, 0.0);
     ws.norm.assign(space.dimensions(), 0.0);
     return ws;
+}
+
+double
+GridKernel::exactSum(const Model &m, const double *dist,
+                     GridScratch &ws) const
+{
+    double acc = m.bias;
+    for (std::size_t t = m.firstTerm; t < m.firstTerm + m.termCount; ++t) {
+        std::uint32_t u = termUnit[t];
+        double r = ws.response[u];
+        if (dist[u] > kFarSum) {
+            if (negligible(termWeight[t], acc))
+                continue;
+            r = std::exp(-dist[u]);
+            ++ws.exps;
+        }
+        acc += termWeight[t] * r;
+    }
+    return acc;
+}
+
+void
+GridKernel::sumGroups(const double *dist, GridScratch &ws) const
+{
+    // kLanes independent dependency chains per group: one chain is
+    // add-latency bound, and the lanes overlap.
+    const double *response = ws.response.data();
+    for (const Group &g : groups) {
+        double acc[kLanes];
+        double low[kLanes];
+        for (std::size_t j = 0; j < kLanes; ++j) {
+            acc[j] = g.bias[j];
+            low[j] = std::fabs(acc[j]);
+        }
+        const std::uint32_t *unit = laneUnit.data() + g.firstSlot;
+        const double *weight = laneWeight.data() + g.firstSlot;
+        for (std::size_t t = 0; t < g.length;
+             ++t, unit += kLanes, weight += kLanes) {
+            for (std::size_t j = 0; j < kLanes; ++j) {
+                acc[j] += weight[j] * response[unit[j]];
+                low[j] = std::min(low[j], std::fabs(acc[j]));
+            }
+        }
+        for (std::size_t j = 0; j < kLanes && g.model[j] != kNoModel; ++j) {
+            // A NaN partial sum escapes min() but stays NaN to the end.
+            if (!(low[j] >= g.guardMin[j] && std::isfinite(acc[j]))) {
+                acc[j] = exactSum(models[g.model[j]], dist, ws);
+                ++ws.fallbacks;
+            }
+            ws.coeffs[models[g.model[j]].slot] = acc[j];
+        }
+    }
 }
 
 void
@@ -185,60 +315,64 @@ GridKernel::evaluate(const std::vector<std::size_t> &levels,
     assert(levels.size() == levelCount.size());
     // 1. Per-unit z^2 sums. Each unit's terms accumulate from 0.0 in
     //    dimension order, as responseAt does; the sums over a level
-    //    prefix shared with the previous point are kept.
+    //    prefix shared with the previous point are kept. Row d + 1 of
+    //    partial holds the sums over dimensions 0..d; row 0 is zeros.
     const std::size_t dims = levelCount.size();
     std::size_t same = 0;
     while (same < dims && ws.lastLevels[same] == levels[same])
         ++same;
-    for (std::size_t d = same; d < dims; ++d) {
-        const double *row = zsq.data() + (levelBase[d] + levels[d]) *
-                                             unitCount;
-        double *sum = ws.partial.data() + d * unitCount;
-        if (d == 0) {
-            for (std::size_t u = 0; u < unitCount; ++u)
-                sum[u] = 0.0 + row[u];
-        } else {
-            const double *prev = sum - unitCount;
-            for (std::size_t u = 0; u < unitCount; ++u)
-                sum[u] = prev[u] + row[u];
-        }
-        ws.lastLevels[d] = levels[d];
+    auto zsqRow = [&](std::size_t d) {
+        return zsq.data() + (levelBase[d] + levels[d]) * unitCount;
+    };
+    for (std::size_t d = same; d + 1 < dims; ++d) {
+        const double *row = zsqRow(d);
+        double *sum = ws.partial.data() + (d + 1) * unitCount;
+        const double *prev = sum - unitCount;
+        for (std::size_t u = 0; u < unitCount; ++u)
+            sum[u] = prev[u] + row[u];
     }
-    const double *dist = ws.partial.data() + (dims - 1) * unitCount;
-    // Responses are computed on first use (negative = not yet): a unit
-    // whose every term is negligible never pays for its exp.
-    double *response = ws.response.data();
-    std::fill(response, response + unitCount, -1.0);
+    for (std::size_t d = same; d < dims; ++d)
+        ws.lastLevels[d] = levels[d];
+    double *dist = ws.partial.data() + dims * unitCount;
 
-    for (std::size_t d = 0; d < dims; ++d)
-        ws.norm[d] = normLevel[levelBase[d] + levels[d]];
+    // 2. Responses: exp for the near units, 0.0 for the far ones.
+    //    Every unit is used by some model and no near term is ever
+    //    left out, so each of these exps is one the sums need. The
+    //    near list is built with the last row of sums and without a
+    //    branch: about half the units are far, in an order no branch
+    //    predictor learns. A repeated point keeps its responses.
+    if (same < dims) {
+        double *response = ws.response.data();
+        std::uint32_t *nearUnits = ws.nearUnits.data();
+        std::size_t nearCount = 0;
+        const double *row = zsqRow(dims - 1);
+        const double *prev = dist - unitCount;
+        for (std::size_t u = 0; u < unitCount; ++u) {
+            dist[u] = prev[u] + row[u];
+            response[u] = 0.0;
+            nearUnits[nearCount] = static_cast<std::uint32_t>(u);
+            nearCount += !(dist[u] > kFarSum);
+        }
+        for (std::size_t k = 0; k < nearCount; ++k)
+            response[nearUnits[k]] = std::exp(-dist[nearUnits[k]]);
+        ws.exps += nearCount;
+    }
 
-    // 2. Coefficients, inverse transform and clamp, per predictor.
-    double *coeffs = ws.coeffs.data();
+    // 3. Every coefficient model's value: the RBF chains in groups
+    //    under the guard, the rest through predict().
+    sumGroups(dist, ws);
+    if (!fallbackModels.empty()) {
+        for (std::size_t d = 0; d < dims; ++d)
+            ws.norm[d] = normLevel[levelBase[d] + levels[d]];
+        for (std::uint32_t m : fallbackModels)
+            ws.coeffs[models[m].slot] = models[m].fallback->predict(ws.norm);
+    }
+
+    // 4. Inverse transform and clamp, per predictor.
     for (std::size_t p = 0; p < preds.size(); ++p) {
         const Pred &pred = preds[p];
-        for (std::size_t s = 0; s < pred.selected.size(); ++s) {
-            const Model &m = models[pred.firstModel + s];
-            double acc;
-            if (m.fallback != nullptr) {
-                acc = m.fallback->predict(ws.norm);
-            } else {
-                acc = m.bias;
-                for (std::size_t t = m.firstTerm;
-                     t < m.firstTerm + m.termCount; ++t) {
-                    std::uint32_t u = termUnit[t];
-                    if (dist[u] > kFarSum && negligible(termWeight[t], acc))
-                        continue;
-                    double r = response[u];
-                    if (r < 0.0)
-                        r = response[u] = std::exp(-dist[u]);
-                    acc += termWeight[t] * r;
-                }
-            }
-            coeffs[pred.selected[s]] = acc;
-        }
-
-        double *out = ws.traces.data() + ws.traceOffset[p];
+        const double *coeffs = ws.coeffs.data() + pred.offset;
+        double *out = ws.traces.data() + pred.offset;
         if (pred.paperHaar) {
             haarInverseInto(coeffs, pred.length, out, ws.inverse.data());
         } else {
@@ -246,13 +380,12 @@ GridKernel::evaluate(const std::vector<std::size_t> &levels,
                 std::vector<double>(coeffs, coeffs + pred.length));
             std::copy(trace.begin(), trace.end(), out);
         }
-        // Only the selected slots were written; zero them back so the
-        // buffer is clean for the next predictor.
-        for (std::size_t slot : pred.selected)
-            coeffs[slot] = 0.0;
-        if (pred.clamp)
+        if (pred.clamp) {
+            const double lo = pred.lo;
+            const double hi = pred.hi;
             for (std::size_t i = 0; i < pred.length; ++i)
-                out[i] = std::min(std::max(out[i], pred.lo), pred.hi);
+                out[i] = std::min(std::max(out[i], lo), hi);
+        }
     }
 }
 

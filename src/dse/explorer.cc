@@ -40,18 +40,17 @@ compileBank(const PredictorBank &bank, const std::vector<Domain> &domains)
 
 /**
  * Predict one configuration under every scenario and collapse the
- * per-scenario objective scores into a FrontPoint: score = scenario
- * mean, value = the raw (un-negated) figure, uncertainty =
+ * per-scenario objective scores into one ChunkFront row: score =
+ * scenario mean, value = the raw (un-negated) figure, uncertainty =
  * cross-scenario disagreement (relative spread averaged over
  * objectives). Fixed iteration order keeps every number independent
  * of worker count. @p scores is scratch, scenarios x objectives.
  */
-FrontPoint
-predictFrontPoint(const GridKernel &kernel,
-                  const std::vector<std::size_t> &levels, GridScratch &ws,
-                  const std::vector<Domain> &domains,
-                  const std::vector<Objective> &objectives,
-                  std::vector<double> &scores)
+void
+scorePoint(const GridKernel &kernel, const std::vector<std::size_t> &levels,
+           GridScratch &ws, const std::vector<Domain> &domains,
+           const std::vector<Objective> &objectives,
+           std::vector<double> &scores, double *row)
 {
     kernel.evaluate(levels, ws);
     const std::size_t nobj = objectives.size();
@@ -63,14 +62,10 @@ predictFrontPoint(const GridKernel &kernel,
             refs[static_cast<std::size_t>(domains[i])] = {
                 ws.trace(p), kernel.traceLength(p)};
         }
-        for (std::size_t k = 0; k < nobj; ++k)
-            scores[s * nobj + k] = objectiveScore(objectives[k], refs);
+        objectiveScores(objectives.data(), nobj, refs,
+                        scores.data() + s * nobj);
     }
 
-    FrontPoint fp;
-    fp.point = kernel.designSpace().pointFromTrainIndices(levels);
-    fp.scores.reserve(nobj);
-    fp.values.reserve(nobj);
     double disagree = 0.0;
     for (std::size_t k = 0; k < nobj; ++k) {
         double sum = 0.0;
@@ -83,12 +78,11 @@ predictFrontPoint(const GridKernel &kernel,
             hi = std::max(hi, v);
         }
         double mean = sum / static_cast<double>(scen);
-        fp.scores.push_back(mean);
-        fp.values.push_back(maximised(objectives[k]) ? -mean : mean);
+        row[k] = mean;
+        row[nobj + k] = maximised(objectives[k]) ? -mean : mean;
         disagree += (hi - lo) / (std::fabs(mean) + 1e-12);
     }
-    fp.uncertainty = disagree / static_cast<double>(nobj);
-    return fp;
+    row[2 * nobj] = disagree / static_cast<double>(nobj);
 }
 
 /** Registry counters of the kernel's unit sharing, added per sweep. */
@@ -103,11 +97,23 @@ countSweepUnits(const GridKernel &kernel)
     metricsRegistry().add(shared, kernel.sharedUnits());
 }
 
+/** Registry counters of one chunk's kernel work, added per chunk. */
+void
+countChunkWork(const GridScratch &ws)
+{
+    static const MetricId exps =
+        metricsRegistry().counter("explore.sweep_exp_calls");
+    static const MetricId fallbacks =
+        metricsRegistry().counter("explore.sweep_guard_fallbacks");
+    metricsRegistry().add(exps, ws.expCalls());
+    metricsRegistry().add(fallbacks, ws.guardFallbacks());
+}
+
 /**
  * One full sweep: stream sweepPoints strided configurations through
  * the compiled bank in chunks, reduce each chunk to its local front on
- * the worker, merge the shards. O(space) work, O(front + chunk)
- * memory.
+ * the worker (scoreChunk), merge the shards. O(space) work, O(front +
+ * chunk) memory.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const GridKernel &kernel,
@@ -123,21 +129,8 @@ sweepFrontier(const ExploreSpec &spec, const GridKernel &kernel,
         parallelChunks(
             ThreadPool::global(), sweepPoints, chunk,
             [&](std::size_t c, std::size_t begin, std::size_t end) {
-                GridScratch ws = kernel.scratch();
-                std::vector<std::size_t> levels;
-                std::vector<double> scores(kernel.size() /
-                                           domains.size() *
-                                           spec.objectives.size());
-                std::vector<FrontPoint> scored;
-                scored.reserve(end - begin);
-                for (std::size_t i = begin; i < end; ++i) {
-                    kernel.designSpace().flatTrainIndices(i * stride,
-                                                          levels);
-                    scored.push_back(predictFrontPoint(
-                        kernel, levels, ws, domains, spec.objectives,
-                        scores));
-                }
-                shards[c] = paretoFront(std::move(scored));
+                shards[c] = scoreChunk(kernel, domains, spec.objectives,
+                                       begin, end, stride);
             });
     }
     ScopedPhase phase("pareto");
@@ -309,6 +302,31 @@ retrainBank(PredictorBank &bank, const DesignSpace &space,
 
 } // anonymous namespace
 
+std::vector<FrontPoint>
+scoreChunk(const GridKernel &kernel, const std::vector<Domain> &domains,
+           const std::vector<Objective> &objectives, std::size_t begin,
+           std::size_t end, std::size_t stride)
+{
+    // Flat score rows, reduced online; FrontPoints and design points
+    // are built only for the rows that survive.
+    const DesignSpace &space = kernel.designSpace();
+    GridScratch ws = kernel.scratch();
+    std::vector<std::size_t> levels;
+    std::vector<double> scores(kernel.size() / domains.size() *
+                               objectives.size());
+    ChunkFront front(objectives.size(), end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+        space.flatTrainIndices(i * stride, levels);
+        scorePoint(kernel, levels, ws, domains, objectives, scores,
+                   front.nextRow());
+        front.add(i * stride);
+    }
+    countChunkWork(ws);
+    return front.front([&](std::size_t flat) {
+        return space.pointFromFlatTrainIndex(flat);
+    });
+}
+
 ExploreReport
 runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
 {
@@ -396,16 +414,18 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     GridKernel kernel = compileBank(bank, domains);
     {
         // Score exactly as the sweep does (one rule for the whole
-        // error table): FrontPoint.scores is the cross-scenario mean.
+        // error table): a row's scores are the cross-scenario means.
+        const std::size_t nobj = spec.objectives.size();
         GridScratch ws = kernel.scratch();
-        std::vector<double> scores(bank.size() * spec.objectives.size());
+        std::vector<double> scores(bank.size() * nobj);
+        std::vector<double> row(2 * nobj + 1);
         std::vector<std::vector<double>> predicted;
         predicted.reserve(testPoints.size());
-        for (const DesignPoint &p : testPoints)
-            predicted.push_back(
-                predictFrontPoint(kernel, space.trainIndices(p), ws,
-                                  domains, spec.objectives, scores)
-                    .scores);
+        for (const DesignPoint &p : testPoints) {
+            scorePoint(kernel, space.trainIndices(p), ws, domains,
+                       spec.objectives, scores, row.data());
+            predicted.emplace_back(row.begin(), row.begin() + nobj);
+        }
         std::vector<std::vector<std::map<Domain, std::vector<double>>>>
             actual(testPoints.size());
         for (std::size_t i = 0; i < testPoints.size(); ++i) {

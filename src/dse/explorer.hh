@@ -123,6 +123,25 @@ struct ExploreReport
 ExploreReport runExplore(const ExploreSpec &spec,
                          const CampaignHooks &hooks = {});
 
+class GridKernel;
+
+/**
+ * The sweep's per-chunk step: score the configurations at flat
+ * training indices f * @p stride for f in [@p begin, @p end) through
+ * @p kernel — compiled from a bank of scenarios x @p domains
+ * predictors, scenario-major — and return the chunk's Pareto front.
+ * A score is the cross-scenario mean of an objective, a value the
+ * un-negated mean, the uncertainty the relative cross-scenario spread
+ * averaged over objectives. Adds the chunk's kernel work to the
+ * registry counters explore.sweep_exp_calls and
+ * explore.sweep_guard_fallbacks.
+ */
+std::vector<FrontPoint> scoreChunk(const GridKernel &kernel,
+                                   const std::vector<Domain> &domains,
+                                   const std::vector<Objective> &objectives,
+                                   std::size_t begin, std::size_t end,
+                                   std::size_t stride);
+
 /**
  * Render the report as deterministic ASCII: campaign summary, the
  * per-round predicted-vs-simulated error table, and the frontier with

@@ -1,6 +1,8 @@
 #include "dse/objectives.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 namespace wavedyn
@@ -129,15 +131,6 @@ traceOf(Domain d, const DomainTraceRefs &traces)
     return t;
 }
 
-double
-meanTrace(const TraceRef &t)
-{
-    double acc = 0.0;
-    for (std::size_t i = 0; i < t.size; ++i)
-        acc += t.data[i];
-    return acc / static_cast<double>(t.size);
-}
-
 DomainTraceRefs
 refsOf(const std::map<Domain, std::vector<double>> &traces)
 {
@@ -150,41 +143,123 @@ refsOf(const std::map<Domain, std::vector<double>> &traces)
 
 } // anonymous namespace
 
+void
+objectiveValues(const Objective *objectives, std::size_t count,
+                const DomainTraceRefs &traces, double *out)
+{
+    if (count == 0)
+        return;
+    struct
+    {
+        bool cpi = false, power = false, avf = false;
+        bool energy = false; //!< sum of power_i * cpi_i
+    } reads;
+    for (std::size_t k = 0; k < count; ++k) {
+        switch (objectives[k]) {
+          case Objective::Cpi:
+          case Objective::Bips:
+            reads.cpi = true;
+            break;
+          case Objective::Power:
+            reads.power = true;
+            break;
+          case Objective::Energy:
+            reads.energy = true;
+            break;
+          case Objective::Avf:
+            reads.avf = true;
+            break;
+        }
+    }
+    TraceRef cpi, power, avf;
+    if (reads.cpi || reads.energy)
+        cpi = traceOf(Domain::Cpi, traces);
+    if (reads.power || reads.energy)
+        power = traceOf(Domain::Power, traces);
+    if (reads.avf)
+        avf = traceOf(Domain::Avf, traces);
+    assert(!reads.energy || cpi.size == power.size);
+
+    // Every sum starts at 0.0 and adds in index order, as a
+    // per-objective mean does: over the samples every trace read
+    // holds together, then each trace's tail alone.
+    std::size_t common = SIZE_MAX;
+    for (const TraceRef *t : {&cpi, &power, &avf})
+        if (t->data != nullptr)
+            common = std::min(common, t->size);
+    double sumCpi = 0.0, sumPower = 0.0, sumAvf = 0.0, sumEnergy = 0.0;
+    for (std::size_t i = 0; i < common; ++i) {
+        if (reads.cpi)
+            sumCpi += cpi.data[i];
+        if (reads.power)
+            sumPower += power.data[i];
+        if (reads.avf)
+            sumAvf += avf.data[i];
+        if (reads.energy)
+            sumEnergy += power.data[i] * cpi.data[i];
+    }
+    for (std::size_t i = common; i < cpi.size; ++i) {
+        if (reads.cpi)
+            sumCpi += cpi.data[i];
+        if (reads.energy)
+            sumEnergy += power.data[i] * cpi.data[i];
+    }
+    for (std::size_t i = common; reads.power && i < power.size; ++i)
+        sumPower += power.data[i];
+    for (std::size_t i = common; i < avf.size; ++i)
+        sumAvf += avf.data[i];
+
+    for (std::size_t k = 0; k < count; ++k) {
+        switch (objectives[k]) {
+          case Objective::Cpi:
+            out[k] = sumCpi / static_cast<double>(cpi.size);
+            break;
+          case Objective::Bips: {
+            double mean = sumCpi / static_cast<double>(cpi.size);
+            out[k] = mean > 0.0 ? 1.0 / mean : 0.0;
+            break;
+          }
+          case Objective::Power:
+            out[k] = sumPower / static_cast<double>(power.size);
+            break;
+          case Objective::Energy:
+            // Intervals hold a fixed instruction count, so per-interval
+            // energy is proportional to power_i * cpi_i; the mean of
+            // that product is energy per instruction up to the clock
+            // period.
+            out[k] = sumEnergy / static_cast<double>(cpi.size);
+            break;
+          case Objective::Avf:
+            out[k] = sumAvf / static_cast<double>(avf.size);
+            break;
+        }
+    }
+}
+
+void
+objectiveScores(const Objective *objectives, std::size_t count,
+                const DomainTraceRefs &traces, double *out)
+{
+    objectiveValues(objectives, count, traces, out);
+    for (std::size_t k = 0; k < count; ++k)
+        if (maximised(objectives[k]))
+            out[k] = -out[k];
+}
+
 double
 objectiveValue(Objective o, const DomainTraceRefs &traces)
 {
-    switch (o) {
-      case Objective::Cpi:
-        return meanTrace(traceOf(Domain::Cpi, traces));
-      case Objective::Bips: {
-        double cpi = meanTrace(traceOf(Domain::Cpi, traces));
-        return cpi > 0.0 ? 1.0 / cpi : 0.0;
-      }
-      case Objective::Power:
-        return meanTrace(traceOf(Domain::Power, traces));
-      case Objective::Energy: {
-        // Intervals hold a fixed instruction count, so per-interval
-        // energy is proportional to power_i * cpi_i; the mean of that
-        // product is energy per instruction up to the clock period.
-        const TraceRef &cpi = traceOf(Domain::Cpi, traces);
-        const TraceRef &power = traceOf(Domain::Power, traces);
-        assert(cpi.size == power.size);
-        double acc = 0.0;
-        for (std::size_t i = 0; i < cpi.size; ++i)
-            acc += power.data[i] * cpi.data[i];
-        return acc / static_cast<double>(cpi.size);
-      }
-      case Objective::Avf:
-        return meanTrace(traceOf(Domain::Avf, traces));
-    }
-    return 0.0;
+    double v;
+    objectiveValues(&o, 1, traces, &v);
+    return v;
 }
 
 double
 objectiveScore(Objective o, const DomainTraceRefs &traces)
 {
-    double v = objectiveValue(o, traces);
-    return maximised(o) ? -v : v;
+    double v;
+    objectiveScores(&o, 1, traces, &v);
+    return v;
 }
 
 double

@@ -80,7 +80,21 @@ struct TraceRef
 using DomainTraceRefs =
     std::array<TraceRef, static_cast<std::size_t>(Domain::IqAvf) + 1>;
 
-/** objectiveValue over borrowed traces; the one implementation. */
+/**
+ * objectiveValue of @p count objectives at once, written to @p out in
+ * the same order; the one implementation. Every sum the objectives
+ * read (CPI, power, AVF, power*cpi) is taken in one pass over the
+ * traces, each in its own accumulator and index order, so every value
+ * has the bytes of computing that objective alone.
+ */
+void objectiveValues(const Objective *objectives, std::size_t count,
+                     const DomainTraceRefs &traces, double *out);
+
+/** objectiveValues folded into minimisation space (BIPS negated). */
+void objectiveScores(const Objective *objectives, std::size_t count,
+                     const DomainTraceRefs &traces, double *out);
+
+/** objectiveValue over borrowed traces. */
 double objectiveValue(Objective o, const DomainTraceRefs &traces);
 
 /** objectiveScore over borrowed traces. */

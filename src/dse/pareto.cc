@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace wavedyn
@@ -11,8 +12,14 @@ bool
 dominates(const std::vector<double> &a, const std::vector<double> &b)
 {
     assert(a.size() == b.size());
+    return dominates(a.data(), b.data(), a.size());
+}
+
+bool
+dominates(const double *a, const double *b, std::size_t n)
+{
     bool strict = false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         if (a[i] > b[i])
             return false;
         if (a[i] < b[i])
@@ -77,7 +84,9 @@ front2d(std::vector<FrontPoint> points)
     while (i < points.size()) {
         double s0 = points[i].scores[0];
         double groupMin = points[i].scores[1];
-        std::size_t tiesEnd = i;
+        // Point i is in its own tie group even when a NaN score makes
+        // it unequal to itself; the scan must always move on.
+        std::size_t tiesEnd = i + 1;
         while (tiesEnd < points.size() &&
                points[tiesEnd].scores[0] == s0 &&
                points[tiesEnd].scores[1] == groupMin)
@@ -127,6 +136,75 @@ paretoFront(std::vector<FrontPoint> points)
 
     std::sort(front.begin(), front.end(), canonicalLess);
     return front;
+}
+
+ChunkFront::ChunkFront(std::size_t objectives, std::size_t capacity)
+    : nobj(objectives)
+{
+    assert(objectives >= 1);
+    rows.reserve(capacity * stride());
+    ids.reserve(capacity);
+}
+
+double *
+ChunkFront::nextRow()
+{
+    rows.resize((ids.size() + 1) * stride());
+    return rows.data() + ids.size() * stride();
+}
+
+void
+ChunkFront::add(std::size_t id)
+{
+    assert(rows.size() == (ids.size() + 1) * stride());
+    const auto row = static_cast<std::uint32_t>(ids.size());
+    ids.push_back(id);
+    if (unordered)
+        return;
+    const double *scores = rows.data() + row * stride();
+    for (std::size_t k = 0; k < nobj; ++k) {
+        if (std::isnan(scores[k])) {
+            unordered = true;
+            return;
+        }
+    }
+    for (std::uint32_t r : keep)
+        if (dominates(rows.data() + r * stride(), scores, nobj))
+            return;
+    keep.erase(std::remove_if(keep.begin(), keep.end(),
+                              [&](std::uint32_t r) {
+                                  return dominates(
+                                      scores, rows.data() + r * stride(),
+                                      nobj);
+                              }),
+               keep.end());
+    keep.push_back(row);
+}
+
+std::vector<FrontPoint>
+ChunkFront::front(
+    const std::function<DesignPoint(std::size_t)> &pointOf) const
+{
+    std::vector<FrontPoint> points;
+    auto emit = [&](std::size_t r) {
+        const double *row = rows.data() + r * stride();
+        FrontPoint fp;
+        fp.point = pointOf(ids[r]);
+        fp.scores.assign(row, row + nobj);
+        fp.values.assign(row + nobj, row + 2 * nobj);
+        fp.uncertainty = row[2 * nobj];
+        points.push_back(std::move(fp));
+    };
+    if (unordered) {
+        points.reserve(ids.size());
+        for (std::size_t r = 0; r < ids.size(); ++r)
+            emit(r);
+    } else {
+        points.reserve(keep.size());
+        for (std::uint32_t r : keep)
+            emit(r);
+    }
+    return paretoFront(std::move(points));
 }
 
 std::vector<FrontPoint>

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/table.hh"
 
@@ -148,12 +149,19 @@ DesignSpace::flatTrainIndices(std::size_t flat,
                               std::vector<std::size_t> &idx) const
 {
     idx.resize(params.size());
+    std::size_t rest = flat;
     for (std::size_t i = params.size(); i-- > 0;) {
         std::size_t levels = params[i].levels();
-        idx[i] = flat % levels;
-        flat /= levels;
+        idx[i] = rest % levels;
+        rest /= levels;
     }
-    assert(flat == 0 && "flat index out of range");
+    // A remainder means flat wrapped round the space: refuse it rather
+    // than decode another configuration.
+    if (rest != 0)
+        throw std::out_of_range(
+            "flat training index " + std::to_string(flat) +
+            " is out of range for a space of " +
+            std::to_string(trainSpaceSize()) + " configurations");
 }
 
 DesignPoint

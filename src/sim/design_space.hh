@@ -109,12 +109,16 @@ class DesignSpace
      * @p idx (resized to dimensions()). Lets a sweep stream the full
      * cross-product — trainSpaceSize() is 10^5-10^6 for realistic
      * spaces — in chunks without ever materialising the point list.
-     * @pre flat < trainSpaceSize().
+     * @throws std::out_of_range, naming @p flat and the space size,
+     *         when flat >= trainSpaceSize().
      */
     void flatTrainIndices(std::size_t flat,
                           std::vector<std::size_t> &idx) const;
 
-    /** The training configuration at a flat enumeration index. */
+    /**
+     * The training configuration at a flat enumeration index.
+     * @throws std::out_of_range when flat >= trainSpaceSize().
+     */
     DesignPoint pointFromFlatTrainIndex(std::size_t flat) const;
 
     /** All parameter names in order. */

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -252,6 +254,126 @@ rbf-network 0 1 1
     }
     // The large-weight term really is in the level-1 prediction.
     EXPECT_NE(pred.predictTrace({1.0}), pred.predictTrace({8.0}));
+}
+
+/** A number as the predictor snapshot reader reads it back exactly. */
+std::string
+exact(double v)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+}
+
+/**
+ * A paper-Haar predictor over x = 0..8 (normalised l / 8), trace
+ * length 4, no clamp, whose coefficient slots 0.. hold @p models
+ * (snapshot text, one "rbf-network ..." record each).
+ */
+WaveletNeuralPredictor
+handBuilt(const std::vector<std::string> &models)
+{
+    std::ostringstream os;
+    os << "wavedyn-predictor-v1\noptions " << models.size()
+       << " magnitude rbf 1 haar 0\nspace 1\n"
+       << "x 9 0 1 2 3 4 5 6 7 8 1 0\ntrace 4 0 1\nselected "
+       << models.size() << "\n";
+    for (std::size_t s = 0; s < models.size(); ++s)
+        os << s << " 1\n";
+    os << "models " << models.size() << "\n";
+    for (const auto &m : models)
+        os << m;
+    std::istringstream is(os.str());
+    return loadPredictor(is);
+}
+
+/**
+ * Every level of @p pred's kernel equals predictTrace byte for byte;
+ * returns how many models the guard sent to the exact fallback.
+ */
+std::uint64_t
+expectHandBuiltBitIdentical(const WaveletNeuralPredictor &pred)
+{
+    GridKernel kernel({&pred});
+    GridScratch ws = kernel.scratch();
+    for (std::size_t level = 0; level < 9; ++level) {
+        kernel.evaluate({level}, ws);
+        std::vector<double> expect =
+            pred.predictTrace({static_cast<double>(level)});
+        EXPECT_TRUE(sameBytes(ws.trace(0), expect)) << "level " << level;
+    }
+    return ws.guardFallbacks();
+}
+
+// One unit at x = 0 with radius 0.0155...: from level 1 on its z^2
+// sum is past the far threshold (65 at level 1). One unit at x = 1/8
+// with radius 1: near everywhere, response exactly 1 at level 1.
+const char *const kFarUnit = "0 0.015504341823651058";
+const char *const kNearUnit = "0.125 1";
+
+TEST(GridKernel, GuardFallsBackOnAFarWeightFarAboveTheSum)
+{
+    // bias 1, far weight 3.5e13 (2^45 > 2^32 times the sum): the far
+    // term moves the sum at level 1, so the guard must not hold.
+    WaveletNeuralPredictor pred = handBuilt(
+        {"rbf-network 1 1 1\n" + std::string(kFarUnit) + " 3.5e13\n"});
+    EXPECT_GT(expectHandBuiltBitIdentical(pred), 0u);
+}
+
+TEST(GridKernel, GuardFallsBackWhenAPartialSumCrossesZero)
+{
+    // bias 1, then the near term -(1 + 2^-40) * 1 takes the sum to
+    // -2^-40 at level 1, where the far term 1e6 * e^-65 (~6e-23) is
+    // no longer negligible.
+    WaveletNeuralPredictor pred = handBuilt(
+        {"rbf-network 1 2 1\n" + std::string(kNearUnit) + " " +
+         exact(-(1.0 + std::ldexp(1.0, -40))) + "\n" + kFarUnit +
+         " 1e6\n"});
+    // Trace sample 0 of coefficients (c, 0, 0, 0) is c itself.
+    EXPECT_NE(pred.predictTrace({1.0})[0], -std::ldexp(1.0, -40))
+        << "the far term must move the level-1 sum";
+    EXPECT_GT(expectHandBuiltBitIdentical(pred), 0u);
+}
+
+TEST(GridKernel, GuardFallsBackOnAnInfiniteWeight)
+{
+    // 1 + inf * e^-65 is inf; the chain's 1 + inf * 0.0 would be NaN.
+    WaveletNeuralPredictor pred = handBuilt(
+        {"rbf-network 1 1 1\n" + std::string(kFarUnit) + " 1\n"});
+    // The snapshot reader takes no infinities: set the weight in
+    // place. The unit lives in a non-const vector behind the const
+    // accessor, so the write is well defined.
+    auto *rbf = static_cast<RbfNetwork *>(
+        pred.coefficientModels()[0].get());
+    const_cast<RbfUnit &>(rbf->units()[0]).weight =
+        std::numeric_limits<double>::infinity();
+    ASSERT_TRUE(std::isinf(pred.predictTrace({1.0})[0]));
+    EXPECT_GT(expectHandBuiltBitIdentical(pred), 0u);
+}
+
+TEST(GridKernel, GuardFallsBackOnAZeroBiasWithNoTerms)
+{
+    WaveletNeuralPredictor pred = handBuilt({"rbf-network 0 0 1\n"});
+    EXPECT_EQ(expectHandBuiltBitIdentical(pred), 9u);
+}
+
+TEST(GridKernel, GuardHoldsOnOrdinaryModelsAndCountsExps)
+{
+    // bias 1, weights near 1: no partial sum gets small, so no model
+    // falls back, and each point takes exactly one exp per near unit.
+    WaveletNeuralPredictor pred = handBuilt(
+        {"rbf-network 1 2 1\n" + std::string(kNearUnit) + " 0.5\n" +
+             kFarUnit + " 1\n",
+         "rbf-network 2 1 1\n" + std::string(kNearUnit) + " -0.25\n"});
+    EXPECT_EQ(expectHandBuiltBitIdentical(pred), 0u);
+    GridKernel kernel({&pred});
+    GridScratch ws = kernel.scratch();
+    kernel.evaluate({0}, ws); // both units near
+    kernel.evaluate({1}, ws); // the x = 0 unit is far
+    EXPECT_EQ(ws.expCalls(), 3u);
+    kernel.evaluate({1}, ws); // a repeated point keeps its responses
+    EXPECT_EQ(ws.expCalls(), 3u);
 }
 
 TEST(GridKernel, RejectsBanksOverDifferentSpaces)

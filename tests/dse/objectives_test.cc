@@ -1,15 +1,20 @@
 /**
  * @file
  * Objective definition tests: name round-trips, list parsing errors,
- * domain requirements, and the trace-to-scalar evaluations (including
- * the minimisation fold for maximised objectives).
+ * domain requirements, the trace-to-scalar evaluations (including
+ * the minimisation fold for maximised objectives), and the one-pass
+ * multi-objective form checked bit for bit against per-objective
+ * loops.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "dse/objectives.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -92,6 +97,102 @@ TEST(Objectives, ScoreFoldsMaximisedObjectives)
     EXPECT_TRUE(maximised(Objective::Bips));
     EXPECT_DOUBLE_EQ(objectiveScore(Objective::Bips, traces), -0.5);
     EXPECT_FALSE(maximised(Objective::Energy));
+}
+
+/** The plain per-objective mean, one loop each, as a reference. */
+double
+referenceValue(Objective o, const std::vector<double> &cpi,
+               const std::vector<double> &power,
+               const std::vector<double> &avf)
+{
+    auto mean = [](const std::vector<double> &t) {
+        double acc = 0.0;
+        for (double v : t)
+            acc += v;
+        return acc / static_cast<double>(t.size());
+    };
+    switch (o) {
+      case Objective::Cpi:
+        return mean(cpi);
+      case Objective::Bips:
+        return mean(cpi) > 0.0 ? 1.0 / mean(cpi) : 0.0;
+      case Objective::Power:
+        return mean(power);
+      case Objective::Energy: {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < cpi.size(); ++i)
+            acc += power[i] * cpi[i];
+        return acc / static_cast<double>(cpi.size());
+      }
+      case Objective::Avf:
+        return mean(avf);
+    }
+    return 0.0;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Objectives, OnePassMatchesPerObjectiveLoopsBitwise)
+{
+    // Every objective list up to all five, in several orders, over
+    // three runs with traces whose sums round differently in every
+    // order. AVF runs longer than CPI/power in run 0 and shorter in
+    // run 1 (Energy needs only those two equal); run 2 is shorter.
+    struct Run
+    {
+        std::vector<double> cpi, power, avf;
+    };
+    Rng rng(0x0b1);
+    auto fill = [&](std::size_t n, double lo, double hi) {
+        std::vector<double> t(n);
+        for (double &v : t)
+            v = rng.uniform(lo, hi);
+        return t;
+    };
+    std::vector<Run> runs;
+    for (auto [n, navf] : {std::pair<std::size_t, std::size_t>{128, 131},
+                           {128, 100},
+                           {64, 64}})
+        runs.push_back({fill(n, 0.3, 3.0), fill(n, 5.0, 60.0),
+                        fill(navf, 0.0, 0.7)});
+    std::vector<DomainTraceRefs> refs(runs.size());
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        auto at = [&](Domain d) -> TraceRef & {
+            return refs[r][static_cast<std::size_t>(d)];
+        };
+        at(Domain::Cpi) = {runs[r].cpi.data(), runs[r].cpi.size()};
+        at(Domain::Power) = {runs[r].power.data(), runs[r].power.size()};
+        at(Domain::Avf) = {runs[r].avf.data(), runs[r].avf.size()};
+    }
+
+    std::vector<Objective> all = allObjectives();
+    for (int round = 0; round < 50; ++round) {
+        std::vector<Objective> list = all;
+        for (std::size_t i = list.size(); i > 1; --i)
+            std::swap(list[i - 1], list[rng.below(i)]);
+        list.resize(1 + rng.below(list.size()));
+        const std::size_t count = list.size();
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            std::vector<double> values(count), scores(count);
+            objectiveValues(list.data(), count, refs[r], values.data());
+            objectiveScores(list.data(), count, refs[r], scores.data());
+            for (std::size_t k = 0; k < count; ++k) {
+                double want = referenceValue(list[k], runs[r].cpi,
+                                             runs[r].power, runs[r].avf);
+                EXPECT_TRUE(sameBits(values[k], want))
+                    << objectiveName(list[k]) << " run " << r
+                    << ", list of " << count;
+                EXPECT_TRUE(sameBits(scores[k],
+                                     maximised(list[k]) ? -want : want));
+                EXPECT_TRUE(
+                    sameBits(objectiveValue(list[k], refs[r]), want));
+            }
+        }
+    }
 }
 
 } // anonymous namespace

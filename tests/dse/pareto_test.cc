@@ -4,12 +4,16 @@
  * one-objective ties, single-point and all-dominated sets; a
  * brute-force cross-check on random point clouds; and the shard-merge
  * identity (front of per-shard fronts == front of everything) the
- * explorer's chunked sweep relies on.
+ * explorer's chunked sweep relies on; and the online chunk front the
+ * sweep reduces each chunk with, checked bit for bit against
+ * paretoFront.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "dse/pareto.hh"
@@ -195,6 +199,90 @@ TEST(ParetoFront, ShardMergeEqualsSingleShot)
             EXPECT_EQ(merged[i].point, single[i].point);
         }
     }
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/** ChunkFront over @p pts (add() order = vector order). */
+ChunkFront
+chunkOf(const std::vector<FrontPoint> &pts, std::size_t nobj)
+{
+    ChunkFront chunk(nobj, pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        double *row = chunk.nextRow();
+        std::copy(pts[i].scores.begin(), pts[i].scores.end(), row);
+        std::copy(pts[i].values.begin(), pts[i].values.end(), row + nobj);
+        row[2 * nobj] = pts[i].uncertainty;
+        chunk.add(i);
+    }
+    return chunk;
+}
+
+/** chunk.front() equals paretoFront(pts) bit for bit. */
+void
+expectSameFront(const ChunkFront &chunk, const std::vector<FrontPoint> &pts)
+{
+    auto flat = chunk.front([&](std::size_t id) { return pts[id].point; });
+    auto ref = paretoFront(pts);
+    ASSERT_EQ(flat.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_TRUE(sameBits(flat[i].scores, ref[i].scores)) << i;
+        EXPECT_TRUE(sameBits(flat[i].values, ref[i].values)) << i;
+        EXPECT_TRUE(sameBits({flat[i].uncertainty}, {ref[i].uncertainty}))
+            << i;
+        EXPECT_EQ(flat[i].point, ref[i].point) << i;
+    }
+}
+
+TEST(ChunkFront, MatchesParetoFrontBitwise)
+{
+    // Scores from a small pool — exact-tie groups, both zeros — plus
+    // verbatim copies of earlier points' scores; values and the
+    // uncertainty are random, so a swapped point shows in the bits.
+    const double pool[] = {-0.0, 0.0, 1.0, 2.0, 0.5, -1.0, 3.0};
+    Rng rng(0xf1a7);
+    for (std::size_t nobj = 1; nobj <= 4; ++nobj) {
+        for (int round = 0; round < 40; ++round) {
+            std::vector<FrontPoint> pts;
+            std::size_t n = 1 + rng.below(150);
+            for (std::size_t i = 0; i < n; ++i) {
+                FrontPoint p;
+                p.point = {static_cast<double>(i), rng.uniform()};
+                if (!pts.empty() && rng.below(4) == 0) {
+                    p.scores = pts[rng.below(pts.size())].scores;
+                } else {
+                    for (std::size_t k = 0; k < nobj; ++k)
+                        p.scores.push_back(pool[rng.below(7)]);
+                }
+                for (std::size_t k = 0; k < nobj; ++k)
+                    p.values.push_back(rng.uniform());
+                p.uncertainty = rng.uniform();
+                pts.push_back(std::move(p));
+            }
+            ChunkFront chunk = chunkOf(pts, nobj);
+            // Online, the kept rows are already exactly the front.
+            EXPECT_EQ(chunk.kept(), paretoFront(pts).size())
+                << "nobj=" << nobj << " round=" << round;
+            expectSameFront(chunk, pts);
+        }
+    }
+}
+
+TEST(ChunkFront, NaNScoresKeepEveryRow)
+{
+    // A NaN score makes dominance intransitive: from then on nothing
+    // is dropped and front() hands paretoFront every point.
+    std::vector<FrontPoint> pts = {fp({1.0, 1.0}, 0), fp({2.0, 2.0}, 1),
+                                   fp({std::nan(""), 0.0}, 2),
+                                   fp({3.0, 3.0}, 3)};
+    ChunkFront chunk = chunkOf(pts, 2);
+    EXPECT_EQ(chunk.kept(), pts.size());
+    expectSameFront(chunk, pts);
 }
 
 TEST(ParetoFront, CanonicalOrderIsSorted)

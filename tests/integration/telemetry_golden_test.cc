@@ -239,6 +239,16 @@ TEST_F(TelemetryGoldenTest, ExploreReportsAreByteIdenticalWithTelemetryOnOff)
     EXPECT_LT(shared, raw);
     EXPECT_EQ(counterOf(metrics[8], "explore.sweep_units_raw"), raw);
     EXPECT_EQ(counterOf(metrics[8], "explore.sweep_units_shared"), shared);
+
+    // The sweep's kernel work, summed per chunk: exp calls (one per
+    // near unit per point, plus any a fallback takes) and guard
+    // fallbacks are functions of the swept points alone, so every
+    // --jobs setting adds up the same totals.
+    std::uint64_t exps = counterOf(metrics[1], "explore.sweep_exp_calls");
+    EXPECT_GT(exps, 0u);
+    EXPECT_EQ(counterOf(metrics[8], "explore.sweep_exp_calls"), exps);
+    EXPECT_EQ(counterOf(metrics[8], "explore.sweep_guard_fallbacks"),
+              counterOf(metrics[1], "explore.sweep_guard_fallbacks"));
 }
 
 TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)

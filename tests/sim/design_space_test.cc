@@ -210,6 +210,31 @@ TEST(DesignSpace, TrainIndicesInvertPointFromTrainIndices)
     }
 }
 
+TEST(DesignSpace, FlatIndexPastTheSpaceThrows)
+{
+    auto space = DesignSpace::paper();
+    const std::size_t size = space.trainSpaceSize();
+    std::vector<std::size_t> idx;
+    EXPECT_NO_THROW(space.flatTrainIndices(size - 1, idx));
+    // Without the check these would wrap round to flat 0 and 1.
+    for (std::size_t flat : {size, size + 1, 3 * size}) {
+        try {
+            space.flatTrainIndices(flat, idx);
+            FAIL() << "expected std::out_of_range for " << flat;
+        } catch (const std::out_of_range &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(flat)), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::to_string(size)), std::string::npos)
+                << what;
+        }
+        EXPECT_THROW(space.pointFromFlatTrainIndex(flat), std::out_of_range);
+    }
+    DesignSpace empty;
+    EXPECT_NO_THROW(empty.flatTrainIndices(0, idx));
+    EXPECT_THROW(empty.flatTrainIndices(1, idx), std::out_of_range);
+}
+
 TEST(DesignSpace, TrainIndicesRejectOffGridPoints)
 {
     auto space = DesignSpace::paper();
