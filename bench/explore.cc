@@ -13,11 +13,14 @@
  * GridKernel, with its distinct/raw RBF unit counts — the sweep's
  * whole per-point scoring on that bank (kernel, objectives and the
  * online chunk front, scoreChunk), and a small
- * end-to-end adaptive exploration. `--json <path>` additionally
+ * end-to-end adaptive exploration. Every timed row runs kRepeats
+ * times and reports the median with the min/max spread, so a row can
+ * resolve a change smaller than run-to-run noise. `--json <path>` additionally
  * records the numbers machine-readably (core/report JSON conventions)
  * so BENCH_explore.json perf trajectories can accumulate.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -39,6 +42,55 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** Repetitions of every timed row. */
+constexpr std::size_t kRepeats = 5;
+
+/** Wall seconds of kRepeats runs of a row: median, min and max. */
+struct RowTime
+{
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+
+    /** Items per second at the median. */
+    double
+    rate(std::size_t items) const
+    {
+        return median > 0.0 ? static_cast<double>(items) / median : 0.0;
+    }
+
+    /** "median [min, max]" for a table cell. */
+    std::string
+    cell() const
+    {
+        return fmt(median, 3) + " [" + fmt(min, 3) + ", " + fmt(max, 3) +
+               "]";
+    }
+
+    /** Adds <key>_seconds (the median), _min and _max to a row. */
+    void
+    addTo(JsonValue &row, const std::string &key) const
+    {
+        row.set(key + "seconds", median);
+        row.set(key + "seconds_min", min);
+        row.set(key + "seconds_max", max);
+    }
+};
+
+template <typename Fn>
+RowTime
+timeRow(Fn &&fn)
+{
+    std::vector<double> s;
+    for (std::size_t i = 0; i < kRepeats; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        fn();
+        s.push_back(secondsSince(t0));
+    }
+    std::sort(s.begin(), s.end());
+    return {s[s.size() / 2], s.front(), s.back()};
 }
 
 } // namespace
@@ -72,50 +124,45 @@ main(int argc, char **argv)
 
     // Batched path: chunked streaming over the pool, one
     // predictTraces call per chunk.
-    auto t0 = std::chrono::steady_clock::now();
     std::vector<double> chunkMeans((sweepPoints + chunk - 1) / chunk);
-    parallelChunks(
-        ThreadPool::global(), sweepPoints, chunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-            std::vector<DesignPoint> pts;
-            pts.reserve(end - begin);
-            for (std::size_t i = begin; i < end; ++i)
-                pts.push_back(data.space.pointFromFlatTrainIndex(i));
-            auto traces = predictor.predictTraces(pts);
-            double acc = 0.0;
-            for (const auto &t : traces)
-                for (double v : t)
-                    acc += v;
-            chunkMeans[c] = acc;
-        });
-    double batchedSec = secondsSince(t0);
+    RowTime batched = timeRow([&] {
+        parallelChunks(
+            ThreadPool::global(), sweepPoints, chunk,
+            [&](std::size_t c, std::size_t begin, std::size_t end) {
+                std::vector<DesignPoint> pts;
+                pts.reserve(end - begin);
+                for (std::size_t i = begin; i < end; ++i)
+                    pts.push_back(data.space.pointFromFlatTrainIndex(i));
+                auto traces = predictor.predictTraces(pts);
+                double acc = 0.0;
+                for (const auto &t : traces)
+                    for (double v : t)
+                        acc += v;
+                chunkMeans[c] = acc;
+            });
+    });
 
     // Scalar path on a subsample, for the speedup ratio.
     const std::size_t scalarPoints = std::min<std::size_t>(sweepPoints,
                                                            4096);
-    t0 = std::chrono::steady_clock::now();
     double scalarAcc = 0.0;
-    for (std::size_t i = 0; i < scalarPoints; ++i) {
-        auto trace = predictor.predictTrace(
-            data.space.pointFromFlatTrainIndex(i));
-        for (double v : trace)
-            scalarAcc += v;
-    }
-    double scalarSec = secondsSince(t0);
+    RowTime scalar = timeRow([&] {
+        for (std::size_t i = 0; i < scalarPoints; ++i) {
+            auto trace = predictor.predictTrace(
+                data.space.pointFromFlatTrainIndex(i));
+            for (double v : trace)
+                scalarAcc += v;
+        }
+    });
 
     TextTable t("sweep throughput (one predictor, trace length " +
-                fmt(predictor.traceLength()) + ")");
+                fmt(predictor.traceLength()) + "; seconds: median [min, "
+                "max] of " + fmt(kRepeats) + ")");
     t.header({"path", "points", "seconds", "points/sec"});
-    t.row({"batched+parallel", fmt(sweepPoints), fmt(batchedSec, 3),
-           fmt(batchedSec > 0.0
-                   ? static_cast<double>(sweepPoints) / batchedSec
-                   : 0.0,
-               0)});
-    t.row({"scalar serial", fmt(scalarPoints), fmt(scalarSec, 3),
-           fmt(scalarSec > 0.0
-                   ? static_cast<double>(scalarPoints) / scalarSec
-                   : 0.0,
-               0)});
+    t.row({"batched+parallel", fmt(sweepPoints), batched.cell(),
+           fmt(batched.rate(sweepPoints), 0)});
+    t.row({"scalar serial", fmt(scalarPoints), scalar.cell(),
+           fmt(scalar.rate(scalarPoints), 0)});
     t.print(std::cout);
 
     // ---- Bank kernel: the explorer's sweep shape, 2 generated mixed
@@ -143,21 +190,20 @@ main(int argc, char **argv)
     GridKernel kernel(bankRefs);
     GridScratch ws = kernel.scratch();
     std::vector<std::size_t> levels;
-    t0 = std::chrono::steady_clock::now();
     double bankAcc = 0.0;
-    for (std::size_t i = 0; i < sweepPoints; ++i) {
-        data.space.flatTrainIndices(i, levels);
-        kernel.evaluate(levels, ws);
-        bankAcc += ws.trace(kernel.size() - 1)[0];
-    }
-    double bankSec = secondsSince(t0);
-    double bankRate =
-        bankSec > 0.0 ? static_cast<double>(sweepPoints) / bankSec : 0.0;
+    RowTime bankTime = timeRow([&] {
+        for (std::size_t i = 0; i < sweepPoints; ++i) {
+            data.space.flatTrainIndices(i, levels);
+            kernel.evaluate(levels, ws);
+            bankAcc += ws.trace(kernel.size() - 1)[0];
+        }
+    });
+    double bankRate = bankTime.rate(sweepPoints);
 
     TextTable bt("bank kernel (" + fmt(kernel.size()) +
                  " predictors, one thread)");
     bt.header({"points", "seconds", "points/sec", "units distinct/raw"});
-    bt.row({fmt(sweepPoints), fmt(bankSec, 3), fmt(bankRate, 0),
+    bt.row({fmt(sweepPoints), bankTime.cell(), fmt(bankRate, 0),
             fmt(kernel.sharedUnits()) + "/" + fmt(kernel.rawUnits())});
     bt.print(std::cout);
     if (!std::isfinite(bankAcc))
@@ -170,22 +216,22 @@ main(int argc, char **argv)
                                              Domain::Avf};
     const std::vector<Objective> bankObjectives = {
         Objective::Cpi, Objective::Energy, Objective::Avf};
-    t0 = std::chrono::steady_clock::now();
     std::size_t chunkFronts = 0;
-    for (std::size_t begin = 0; begin < sweepPoints; begin += chunk)
-        chunkFronts += scoreChunk(kernel, bankDomains, bankObjectives,
-                                  begin,
-                                  std::min(begin + chunk, sweepPoints), 1)
-                           .size();
-    double scoreSec = secondsSince(t0);
-    double scoreRate =
-        scoreSec > 0.0 ? static_cast<double>(sweepPoints) / scoreSec : 0.0;
+    RowTime scoring = timeRow([&] {
+        chunkFronts = 0;
+        for (std::size_t begin = 0; begin < sweepPoints; begin += chunk)
+            chunkFronts +=
+                scoreChunk(kernel, bankDomains, bankObjectives, begin,
+                           std::min(begin + chunk, sweepPoints), 1)
+                    .size();
+    });
+    double scoreRate = scoring.rate(sweepPoints);
 
     TextTable st("scoring (kernel + objectives + chunk front, one "
                  "thread)");
     st.header({"points", "seconds", "points/sec", "us/point",
                "chunk-front points"});
-    st.row({fmt(sweepPoints), fmt(scoreSec, 3), fmt(scoreRate, 0),
+    st.row({fmt(sweepPoints), scoring.cell(), fmt(scoreRate, 0),
             fmt(scoreRate > 0.0 ? 1e6 / scoreRate : 0.0, 3),
             fmt(chunkFronts)});
     st.print(std::cout);
@@ -200,7 +246,7 @@ main(int argc, char **argv)
     espec.budget = 2;
     espec.perRound = 2;
     espec.maxSweepPoints = sweepPoints;
-    t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
     ExploreReport report = runExplore(espec);
     double exploreSec = secondsSince(t0);
     std::cout << renderExploreReport(report);
@@ -212,34 +258,29 @@ main(int argc, char **argv)
 
     if (!jsonPath.empty()) {
         JsonValue doc = benchJsonHeader("explore", ctx);
+        doc.set("repeats", std::uint64_t{kRepeats});
         JsonValue sweep = JsonValue::object();
         sweep.set("points", std::uint64_t{sweepPoints});
-        sweep.set("batched_seconds", batchedSec);
-        sweep.set("batched_points_per_sec",
-                  batchedSec > 0.0
-                      ? static_cast<double>(sweepPoints) / batchedSec
-                      : 0.0);
+        batched.addTo(sweep, "batched_");
+        sweep.set("batched_points_per_sec", batched.rate(sweepPoints));
         sweep.set("scalar_points", std::uint64_t{scalarPoints});
-        sweep.set("scalar_seconds", scalarSec);
-        sweep.set("scalar_points_per_sec",
-                  scalarSec > 0.0
-                      ? static_cast<double>(scalarPoints) / scalarSec
-                      : 0.0);
+        scalar.addTo(sweep, "scalar_");
+        sweep.set("scalar_points_per_sec", scalar.rate(scalarPoints));
         doc.set("sweep", std::move(sweep));
         JsonValue bankRow = JsonValue::object();
         bankRow.set("predictors", std::uint64_t{kernel.size()});
         bankRow.set("points", std::uint64_t{sweepPoints});
-        bankRow.set("seconds", bankSec);
+        bankTime.addTo(bankRow, "");
         bankRow.set("points_per_sec", bankRate);
         bankRow.set("units_distinct", std::uint64_t{kernel.sharedUnits()});
         bankRow.set("units_raw", std::uint64_t{kernel.rawUnits()});
         doc.set("bank_kernel", std::move(bankRow));
-        JsonValue scoring = JsonValue::object();
-        scoring.set("points", std::uint64_t{sweepPoints});
-        scoring.set("seconds", scoreSec);
-        scoring.set("points_per_sec", scoreRate);
-        scoring.set("chunk_front_points", std::uint64_t{chunkFronts});
-        doc.set("scoring", std::move(scoring));
+        JsonValue scoringRow = JsonValue::object();
+        scoringRow.set("points", std::uint64_t{sweepPoints});
+        scoring.addTo(scoringRow, "");
+        scoringRow.set("points_per_sec", scoreRate);
+        scoringRow.set("chunk_front_points", std::uint64_t{chunkFronts});
+        doc.set("scoring", std::move(scoringRow));
         JsonValue e2e = JsonValue::object();
         e2e.set("wall_seconds", exploreSec);
         e2e.set("report", exploreToJson(report));

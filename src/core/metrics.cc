@@ -11,13 +11,22 @@ evaluatePredictor(const WaveletNeuralPredictor &pred,
                   const std::vector<std::vector<double>> &actual_traces)
 {
     assert(test_points.size() == actual_traces.size());
+    std::vector<std::vector<double>> predicted;
+    predicted.reserve(test_points.size());
+    for (const DesignPoint &p : test_points)
+        predicted.push_back(pred.predictTrace(p));
+    return evaluateTraces(actual_traces, predicted);
+}
+
+EvalResult
+evaluateTraces(const std::vector<std::vector<double>> &actual,
+               const std::vector<std::vector<double>> &predicted)
+{
+    assert(actual.size() == predicted.size());
     EvalResult res;
-    res.msePerTest.reserve(test_points.size());
-    for (std::size_t i = 0; i < test_points.size(); ++i) {
-        auto predicted = pred.predictTrace(test_points[i]);
-        res.msePerTest.push_back(
-            msePercent(actual_traces[i], predicted));
-    }
+    res.msePerTest.reserve(actual.size());
+    for (std::size_t i = 0; i < actual.size(); ++i)
+        res.msePerTest.push_back(msePercent(actual[i], predicted[i]));
     res.summary = boxplot(res.msePerTest);
     return res;
 }

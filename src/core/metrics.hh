@@ -37,6 +37,14 @@ EvalResult evaluatePredictor(const WaveletNeuralPredictor &pred,
                                  &actual_traces);
 
 /**
+ * evaluatePredictor from traces already predicted: per-test MSE(%) of
+ * predicted[i] against actual[i], plus its boxplot.
+ */
+EvalResult evaluateTraces(const std::vector<std::vector<double>> &actual,
+                          const std::vector<std::vector<double>>
+                              &predicted);
+
+/**
  * Directional asymmetry (1 - DS), percent, at the three quarter
  * thresholds of the actual trace (Figure 12's Q1/Q2/Q3).
  * @return {asym@Q1, asym@Q2, asym@Q3}.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "core/grid_kernel.hh"
 #include "wavelet/haar.hh"
@@ -122,15 +123,28 @@ WaveletNeuralPredictor::trainImpl(const DesignSpace &space,
             x.at(r, c) = norm[c];
     }
 
+    // The RBF fits share one design: every node a coefficient's tree
+    // revisits reuses its sort chains, unit and response column (see
+    // mlmodel/fit_design.hh). It is freed when training returns.
+    std::optional<FitDesign> design;
+    if (opts.model == CoefficientModel::Rbf)
+        design.emplace(x, opts.rbf.radiusScale, opts.rbf.radiusFloor);
+
     models.clear();
     models.reserve(selected.size());
     std::vector<double> y(points.size());
     for (std::size_t s = 0; s < selected.size(); ++s) {
         for (std::size_t r = 0; r < points.size(); ++r)
             y[r] = coeff_sets[r][selected[s]];
-        auto model = makeModel();
-        model->fit(x, y);
-        models.push_back(std::move(model));
+        if (design) {
+            auto model = std::make_unique<RbfNetwork>(opts.rbf);
+            model->fit(*design, y);
+            models.push_back(std::move(model));
+        } else {
+            auto model = makeModel();
+            model->fit(x, y);
+            models.push_back(std::move(model));
+        }
     }
 }
 

@@ -33,28 +33,31 @@ simulateSuiteDatasets(const std::vector<std::string> &benchmarks,
                       const ExperimentSpec &base,
                       const CampaignHooks &hooks)
 {
-    // Phase 1 (serial, cheap): sample each benchmark's design points
-    // and flatten every (configuration x benchmark) run into one
-    // scheduler batch, so the parallel phase never stalls on a
-    // per-benchmark barrier.
+    // Phase 1 (serial, cheap): sample the design points and flatten
+    // every (configuration x benchmark) run into one scheduler batch,
+    // so the parallel phase never stalls on a per-benchmark barrier.
+    // A plan depends only on the seed and the sweep sizes, never on
+    // the benchmark, so every scenario shares one, sampled after every
+    // scenario's spec has been validated.
     std::vector<ExperimentSpec> specs;
-    std::vector<ExperimentPlan> plans;
     std::vector<ScheduledExperiment> scheds;
     RunScheduler scheduler(base.seed);
     attachHooks(scheduler, hooks);
     specs.reserve(benchmarks.size());
-    plans.reserve(benchmarks.size());
     scheds.reserve(benchmarks.size());
+    ExperimentPlan plan;
     {
         ScopedPhase phase("plan");
         for (const auto &bench : benchmarks) {
             ExperimentSpec spec = base;
             spec.benchmark = bench;
-            plans.push_back(planExperiment(spec));
-            scheds.push_back(scheduleExperiment(spec, plans.back(),
-                                                scheduler));
+            validateSpec(spec);
             specs.push_back(std::move(spec));
         }
+        if (!specs.empty())
+            plan = planExperiment(specs.front());
+        for (const ExperimentSpec &spec : specs)
+            scheds.push_back(scheduleExperiment(spec, plan, scheduler));
     }
 
     // Phase 2 (parallel): all simulations of the whole campaign.
@@ -71,9 +74,8 @@ simulateSuiteDatasets(const std::vector<std::string> &benchmarks,
     std::vector<ExperimentData> datasets;
     datasets.reserve(benchmarks.size());
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        datasets.push_back(assembleExperiment(specs[b],
-                                              std::move(plans[b]),
-                                              scheduler, scheds[b]));
+        datasets.push_back(
+            assembleExperiment(specs[b], plan, scheduler, scheds[b]));
         if (hooks.scenarioDone)
             hooks.scenarioDone(benchmarks[b], b + 1, benchmarks.size());
     }
@@ -109,20 +111,25 @@ runSuite(const ScenarioSet &scenarios, const ExperimentSpec &base,
     parallelFor(ThreadPool::global(), refs.size(), [&](std::size_t i) {
         const CellRef &ref = refs[i];
         const ExperimentData &data = datasets[ref.bench];
-        auto out = trainAndEvaluate(data, ref.domain, opts);
+        WaveletNeuralPredictor predictor(opts);
+        predictor.train(data.space, data.trainPoints,
+                        data.trainTraces.at(ref.domain));
+
+        // One prediction per test point feeds both the MSE and the
+        // directional asymmetry.
+        std::vector<std::vector<double>> preds;
+        preds.reserve(data.testPoints.size());
+        for (const auto &p : data.testPoints)
+            preds.push_back(predictor.predictTrace(p));
+        const auto &actual = data.testTraces.at(ref.domain);
+        EvalResult eval = evaluateTraces(actual, preds);
 
         SuiteCell cell;
         cell.benchmark = benchmarks[ref.bench];
         cell.domain = ref.domain;
-        cell.mse = out.eval.summary;
-        cell.msePerTest = out.eval.msePerTest;
-
-        std::vector<std::vector<double>> preds;
-        preds.reserve(data.testPoints.size());
-        for (const auto &p : data.testPoints)
-            preds.push_back(out.predictor.predictTrace(p));
-        cell.asymmetryQ = meanDirectionalAsymmetryQ(
-            data.testTraces.at(ref.domain), preds);
+        cell.mse = eval.summary;
+        cell.msePerTest = std::move(eval.msePerTest);
+        cell.asymmetryQ = meanDirectionalAsymmetryQ(actual, preds);
         cells[i] = std::move(cell);
     });
 

@@ -74,10 +74,11 @@ SuiteReport runSuite(const std::vector<std::string> &benchmarks,
                      const CampaignHooks &hooks = {});
 
 /**
- * The simulation phases of runSuite on their own: plan every
- * benchmark, flatten all (configuration x benchmark) runs into one
- * scheduler batch, simulate in parallel, and assemble one dataset per
- * benchmark (aligned with @p benchmarks). This is the shared front
+ * The simulation phases of runSuite on their own: validate every
+ * benchmark's spec, sample the one plan they share (a plan depends
+ * only on the seed and the sweep sizes), flatten all (configuration x
+ * benchmark) runs into one scheduler batch, simulate in parallel, and
+ * assemble one dataset per benchmark (aligned with @p benchmarks). This is the shared front
  * half of every campaign — the accuracy suite trains and evaluates on
  * the datasets, the exploration engine (dse/explorer.hh) trains its
  * per-scenario predictors on them. Fires hooks.scenarioDone per

@@ -315,8 +315,14 @@ scoreChunk(const GridKernel &kernel, const std::vector<Domain> &domains,
     std::vector<double> scores(kernel.size() / domains.size() *
                                objectives.size());
     ChunkFront front(objectives.size(), end - begin);
+    // Decode the chunk's first index once; each later point is the
+    // previous one plus stride, added digit by digit.
+    const std::vector<std::size_t> step = space.flatStepDigits(stride);
     for (std::size_t i = begin; i < end; ++i) {
-        space.flatTrainIndices(i * stride, levels);
+        if (i == begin)
+            space.flatTrainIndices(i * stride, levels);
+        else if (!space.advanceTrainIndices(levels, step))
+            space.flatTrainIndices(i * stride, levels); // throws
         scorePoint(kernel, levels, ws, domains, objectives, scores,
                    front.nextRow());
         front.add(i * stride);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace wavedyn
 {
@@ -32,31 +34,71 @@ RbfNetwork::responseAt(const RbfUnit &unit, const double *input)
 namespace
 {
 
-/** Build the n x m response matrix of candidate units. */
-Matrix
-responseMatrix(const Matrix &x, const std::vector<RbfUnit> &units)
+/**
+ * dot(a_k, b) for W columns a_k of a column-major block side by side,
+ * each one sequential chain over the rows from 0.0, as dot() forms it.
+ */
+template <std::size_t W>
+void
+dots(const double *block, std::size_t n, const std::size_t *cols,
+     const double *b, double *out)
 {
-    assert(units.empty() || units.front().center.size() == x.cols());
-    Matrix phi(x.rows(), units.size());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const double *row = x.rowPtr(r);
-        for (std::size_t j = 0; j < units.size(); ++j)
-            phi.at(r, j) = RbfNetwork::responseAt(units[j], row);
+    const double *a[W];
+    double acc[W];
+    for (std::size_t k = 0; k < W; ++k) {
+        a[k] = block + cols[k] * n;
+        acc[k] = 0.0;
     }
-    return phi;
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t k = 0; k < W; ++k)
+            acc[k] += a[k][r] * b[r];
+    for (std::size_t k = 0; k < W; ++k)
+        out[k] = acc[k];
 }
 
-/** Append a bias column of ones in front of a matrix. */
-Matrix
-withBias(const Matrix &phi)
+/**
+ * Deflate W columns against qb (a_k -= proj_k * qb, row by row) and,
+ * from the values stored, sum each column's squared norm and its
+ * product with resid: sequential chains from 0.0, side by side.
+ */
+template <std::size_t W>
+void
+deflate(double *block, std::size_t n, const std::size_t *cols,
+        const double *proj, const double *qb, const double *resid,
+        double *qq, double *qy)
 {
-    Matrix out(phi.rows(), phi.cols() + 1);
-    for (std::size_t r = 0; r < phi.rows(); ++r) {
-        out.at(r, 0) = 1.0;
-        for (std::size_t c = 0; c < phi.cols(); ++c)
-            out.at(r, c + 1) = phi.at(r, c);
+    double *a[W];
+    double p[W], aq[W], ay[W];
+    for (std::size_t k = 0; k < W; ++k) {
+        a[k] = block + cols[k] * n;
+        p[k] = proj[k];
+        aq[k] = 0.0;
+        ay[k] = 0.0;
     }
-    return out;
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t k = 0; k < W; ++k) {
+            double v = a[k][r] - p[k] * qb[r];
+            a[k][r] = v;
+            aq[k] += v * v;
+            ay[k] += v * resid[r];
+        }
+    for (std::size_t k = 0; k < W; ++k) {
+        qq[k] = aq[k];
+        qy[k] = ay[k];
+    }
+}
+
+/** dots() over a column list, four at a time, then one at a time. */
+void
+dotsOf(const double *block, std::size_t n,
+       const std::vector<std::size_t> &cols, const double *b,
+       double *out)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= cols.size(); i += 4)
+        dots<4>(block, n, cols.data() + i, b, out + i);
+    for (; i < cols.size(); ++i)
+        dots<1>(block, n, cols.data() + i, b, out + i);
 }
 
 } // anonymous namespace
@@ -64,40 +106,61 @@ withBias(const Matrix &phi)
 void
 RbfNetwork::fit(const Matrix &x, const std::vector<double> &y)
 {
-    assert(x.rows() == y.size());
-    assert(x.rows() > 0);
+    FitDesign design(x, opts.radiusScale, opts.radiusFloor);
+    fit(design, y);
+}
+
+void
+RbfNetwork::fit(FitDesign &design, const std::vector<double> &y)
+{
+    assert(design.rows() == y.size());
+    assert(design.rows() > 0);
+    if (design.radiusScale() != opts.radiusScale ||
+        design.radiusFloor() != opts.radiusFloor)
+        throw std::invalid_argument(
+            "RbfNetwork::fit: the design's unit radius options differ "
+            "from the network's");
 
     net.clear();
     w0 = 0.0;
 
     // Seed: one candidate unit per regression tree node.
     tree = RegressionTree(opts.tree);
-    tree.fit(x, y);
+    std::vector<std::size_t> ids;
+    tree.fit(design, y, &ids);
 
-    std::vector<RbfUnit> candidates;
-    candidates.reserve(tree.nodes().size());
-    for (const TreeNode &node : tree.nodes()) {
-        RbfUnit u;
-        u.center = node.center;
-        u.radius.resize(node.halfWidth.size());
-        for (std::size_t d = 0; d < u.radius.size(); ++d) {
-            u.radius[d] = std::max(opts.radiusScale * node.halfWidth[d],
-                                   opts.radiusFloor);
-        }
-        candidates.push_back(std::move(u));
-    }
+    Candidates cand;
+    cand.reserve(ids.size());
+    for (std::size_t id : ids)
+        cand.push_back(&design.response(id));
 
     if (opts.fit == RbfFit::RidgeAll)
-        fitRidgeAll(x, y, std::move(candidates));
+        fitRidgeAll(cand, y);
     else
-        fitForwardGcv(x, y, std::move(candidates));
+        fitForwardGcv(cand, y);
 }
 
 void
-RbfNetwork::fitRidgeAll(const Matrix &x, const std::vector<double> &y,
-                        std::vector<RbfUnit> candidates)
+RbfNetwork::addUnit(const FitDesign::Node &node, double weight)
 {
-    Matrix phi = withBias(responseMatrix(x, candidates));
+    RbfUnit u;
+    u.center.assign(node.center.begin(), node.center.end());
+    u.radius.assign(node.radius.begin(), node.radius.end());
+    u.weight = weight;
+    net.push_back(std::move(u));
+}
+
+void
+RbfNetwork::fitRidgeAll(const Candidates &cand,
+                        const std::vector<double> &y)
+{
+    const std::size_t n = y.size();
+    Matrix phi(n, cand.size() + 1);
+    for (std::size_t r = 0; r < n; ++r) {
+        phi.at(r, 0) = 1.0;
+        for (std::size_t j = 0; j < cand.size(); ++j)
+            phi.at(r, j + 1) = cand[j]->column[r];
+    }
     SolveResult sol = ridgeSolve(phi, y, opts.ridgeLambda);
     if (!sol.ok) {
         // Degenerate training set: fall back to the mean predictor.
@@ -108,31 +171,35 @@ RbfNetwork::fitRidgeAll(const Matrix &x, const std::vector<double> &y,
         return;
     }
     w0 = sol.x[0];
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-        if (sol.x[j + 1] != 0.0) {
-            candidates[j].weight = sol.x[j + 1];
-            net.push_back(candidates[j]);
-        }
-    }
+    for (std::size_t j = 0; j < cand.size(); ++j)
+        if (sol.x[j + 1] != 0.0)
+            addUnit(*cand[j], sol.x[j + 1]);
 }
 
 void
-RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
-                          std::vector<RbfUnit> candidates)
+RbfNetwork::fitForwardGcv(const Candidates &cand,
+                          const std::vector<double> &y)
 {
-    std::size_t n = x.rows();
-    std::size_t m = candidates.size();
-    Matrix phi = responseMatrix(x, candidates);
+    const std::size_t n = y.size();
+    const std::size_t m = cand.size();
 
     // Orthogonal least squares forward selection. The bias column is
     // always in the basis; candidate columns are kept orthogonalised
-    // against everything selected so far (modified Gram-Schmidt).
-    std::vector<std::vector<double>> q(m, std::vector<double>(n));
-    for (std::size_t j = 0; j < m; ++j)
+    // against everything selected so far (modified Gram-Schmidt) in
+    // one flat block q, n rows per candidate column, with each
+    // column's squared norm in qq and its product with the residual
+    // in qy.
+    std::vector<double> q(n * m);
+    std::vector<double> qq(m), qy(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        const auto &phi = cand[j]->column;
+        double *col = q.data() + j * n;
         for (std::size_t r = 0; r < n; ++r)
-            q[j][r] = phi.at(r, j);
+            col[r] = phi[r] - cand[j]->mean;
+        qq[j] = cand[j]->centredNorm;
+    }
 
-    // Orthogonalise against the bias (constant) column.
+    // Orthogonalise the response against the bias (constant) column.
     std::vector<double> resid = y;
     {
         double ymean = 0.0;
@@ -141,15 +208,11 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
         ymean /= static_cast<double>(n);
         for (double &v : resid)
             v -= ymean;
-        for (std::size_t j = 0; j < m; ++j) {
-            double mean = 0.0;
-            for (double v : q[j])
-                mean += v;
-            mean /= static_cast<double>(n);
-            for (double &v : q[j])
-                v -= mean;
-        }
     }
+    std::vector<std::size_t> live(m);
+    for (std::size_t j = 0; j < m; ++j)
+        live[j] = j;
+    dotsOf(q.data(), n, live, resid.data(), qy.data());
 
     double sse = dot(resid, resid);
     double best_gcv = std::numeric_limits<double>::max();
@@ -162,6 +225,11 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
     std::vector<std::size_t> selected;
     const double norm_tol = 1e-10 * static_cast<double>(n);
 
+    // Per-step scratch: projections of the live columns, and the live
+    // columns split by whether their projection is exactly zero.
+    std::vector<double> proj(m), moving(m), laneQq(m), laneQy(m);
+    std::vector<std::size_t> moved, still;
+
     std::size_t max_units = std::min(opts.maxUnits, m);
     while (selected.size() < max_units &&
            selected.size() + 2 < n) {
@@ -171,11 +239,9 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
         for (std::size_t j = 0; j < m; ++j) {
             if (used[j])
                 continue;
-            double qq = dot(q[j], q[j]);
-            if (qq < norm_tol)
+            if (qq[j] < norm_tol)
                 continue;
-            double qy = dot(q[j], resid);
-            double red = qy * qy / qq;
+            double red = qy[j] * qy[j] / qq[j];
             if (red > best_red) {
                 best_red = red;
                 best_j = j;
@@ -195,23 +261,53 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
         best_gcv = gcv;
         sse = new_sse;
 
-        // Deflate the residual and the remaining candidates.
+        // Deflate the residual and the remaining candidates. The
+        // chosen column's norm and residual product are the ones the
+        // selection just compared.
         used[best_j] = true;
         selected.push_back(best_j);
-        const std::vector<double> &qb = q[best_j];
-        double qq = dot(qb, qb);
-        double coef = dot(qb, resid) / qq;
+        const double *qb = q.data() + best_j * n;
+        const double qqb = qq[best_j];
+        double coef = qy[best_j] / qqb;
         for (std::size_t r = 0; r < n; ++r)
             resid[r] -= coef * qb[r];
-        for (std::size_t j = 0; j < m; ++j) {
-            if (used[j])
-                continue;
-            double proj = dot(qb, q[j]) / qq;
-            if (proj == 0.0)
-                continue;
-            for (std::size_t r = 0; r < n; ++r)
-                q[j][r] -= proj * qb[r];
+
+        live.clear();
+        for (std::size_t j = 0; j < m; ++j)
+            if (!used[j])
+                live.push_back(j);
+        dotsOf(q.data(), n, live, qb, proj.data());
+        moved.clear();
+        still.clear();
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            double p = proj[i] / qqb;
+            if (p == 0.0) {
+                still.push_back(live[i]);
+            } else {
+                moving[moved.size()] = p;
+                moved.push_back(live[i]);
+            }
         }
+
+        // A moved column is deflated and re-summed in one pass; a
+        // column whose projection is exactly zero is left untouched
+        // and only its product with the new residual is summed.
+        std::size_t i = 0;
+        for (; i + 4 <= moved.size(); i += 4)
+            deflate<4>(q.data(), n, moved.data() + i, moving.data() + i,
+                       qb, resid.data(), laneQq.data() + i,
+                       laneQy.data() + i);
+        for (; i < moved.size(); ++i)
+            deflate<1>(q.data(), n, moved.data() + i, moving.data() + i,
+                       qb, resid.data(), laneQq.data() + i,
+                       laneQy.data() + i);
+        for (i = 0; i < moved.size(); ++i) {
+            qq[moved[i]] = laneQq[i];
+            qy[moved[i]] = laneQy[i];
+        }
+        dotsOf(q.data(), n, still, resid.data(), laneQy.data());
+        for (i = 0; i < still.size(); ++i)
+            qy[still[i]] = laneQy[i];
     }
 
     // Refit exact weights on the selected original columns + bias.
@@ -219,7 +315,7 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
     for (std::size_t r = 0; r < n; ++r) {
         sel.at(r, 0) = 1.0;
         for (std::size_t c = 0; c < selected.size(); ++c)
-            sel.at(r, c + 1) = phi.at(r, selected[c]);
+            sel.at(r, c + 1) = cand[selected[c]]->column[r];
     }
     SolveResult sol = ridgeSolve(sel, y, opts.ridgeLambda);
     if (!sol.ok) {
@@ -230,11 +326,8 @@ RbfNetwork::fitForwardGcv(const Matrix &x, const std::vector<double> &y,
         return;
     }
     w0 = sol.x[0];
-    for (std::size_t c = 0; c < selected.size(); ++c) {
-        RbfUnit u = candidates[selected[c]];
-        u.weight = sol.x[c + 1];
-        net.push_back(std::move(u));
-    }
+    for (std::size_t c = 0; c < selected.size(); ++c)
+        addUnit(*cand[selected[c]], sol.x[c + 1]);
 }
 
 double

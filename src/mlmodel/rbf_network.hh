@@ -12,6 +12,32 @@
  * (scaled, floored). Weights come from either ridge-regularised least
  * squares over all candidates or greedy forward selection minimising
  * generalised cross-validation (GCV), Orr's procedure.
+ *
+ * A fit reads the seed tree's candidate units and their response
+ * columns from a FitDesign (mlmodel/fit_design.hh), which memoises
+ * them per tree node across every fit on the same x; fit(x, y) is a
+ * one-shot use of a fresh design.
+ *
+ * Forward-GCV keeps the orthogonalised candidates in one flat block,
+ * a column of n rows per candidate. Every dot product is still one
+ * sequential chain over the rows, from 0.0 in row order, as dot()
+ * forms it. What changed is how the chains are scheduled:
+ *
+ *  - the projections onto the chosen column run four candidates side
+ *    by side, each in its own accumulator;
+ *  - the pass that deflates a candidate also sums its next squared
+ *    norm and its product with the (already deflated) residual, from
+ *    the values it has just stored, so the next selection reads them
+ *    instead of two more passes. A candidate whose projection is
+ *    exactly 0.0 is left untouched, as before, and only its product
+ *    with the residual is summed again;
+ *  - the chosen column's norm and residual product are the ones the
+ *    selection compared (same column, same residual).
+ *
+ * Selection keeps its rules: norms under norm_tol are skipped, and the
+ * first strictly larger error reduction wins. Each sum therefore sees
+ * the same operands in the same order, and the fit is bit-identical to
+ * the column-at-a-time loop.
  */
 
 #ifndef WAVEDYN_MLMODEL_RBF_NETWORK_HH
@@ -61,6 +87,14 @@ class RbfNetwork : public RegressionModel
     explicit RbfNetwork(RbfOptions opts = {});
 
     void fit(const Matrix &x, const std::vector<double> &y) override;
+
+    /**
+     * Fit on a shared design (the network fit() fits on its x).
+     * @throws std::invalid_argument when the design's radius scale or
+     *         floor differ from this network's options.
+     */
+    void fit(FitDesign &design, const std::vector<double> &y);
+
     double predict(const std::vector<double> &input) const override;
     std::vector<double> predictMany(const Matrix &x) const override;
     std::string name() const override { return "rbf-network"; }
@@ -91,10 +125,11 @@ class RbfNetwork : public RegressionModel
     static double responseAt(const RbfUnit &unit, const double *input);
 
   private:
-    void fitRidgeAll(const Matrix &x, const std::vector<double> &y,
-                     std::vector<RbfUnit> candidates);
-    void fitForwardGcv(const Matrix &x, const std::vector<double> &y,
-                       std::vector<RbfUnit> candidates);
+    using Candidates = std::vector<const FitDesign::Node *>;
+    void fitRidgeAll(const Candidates &cand, const std::vector<double> &y);
+    void fitForwardGcv(const Candidates &cand,
+                       const std::vector<double> &y);
+    void addUnit(const FitDesign::Node &node, double weight);
 
     RbfOptions opts;
     RegressionTree tree;

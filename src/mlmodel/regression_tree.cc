@@ -17,7 +17,7 @@ namespace
 /** Mean and SSE of y over the given items. */
 void
 nodeStats(const std::vector<double> &y,
-          const std::vector<std::size_t> &items,
+          const FitDesign::Node::Array<std::uint32_t> &items,
           double &mean, double &sse)
 {
     mean = 0.0;
@@ -36,54 +36,72 @@ struct BestSplit
 {
     bool found = false;
     std::size_t feature = 0;
-    double threshold = 0.0;
+    std::size_t cut = 0; //!< index into the node's cuts
     double gain = 0.0;
 };
 
 /**
- * Exhaustive best split: for each feature, sort items by value and scan
- * prefix sums; thresholds are midpoints between adjacent distinct values.
+ * Prefix sums of y and y^2 along W features' chains side by side:
+ * sum[f * n + pos] and sq[f * n + pos] hold the sums over chain
+ * positions 0..pos, each feature in its own sequential accumulator.
+ */
+template <std::size_t W>
+void
+prefixSums(const std::uint32_t *chain, std::size_t n, std::size_t f0,
+           const std::vector<double> &y, double *sum, double *sq)
+{
+    const std::uint32_t *c[W];
+    double s[W], q[W];
+    for (std::size_t k = 0; k < W; ++k) {
+        c[k] = chain + (f0 + k) * n;
+        s[k] = 0.0;
+        q[k] = 0.0;
+    }
+    for (std::size_t pos = 0; pos < n; ++pos)
+        for (std::size_t k = 0; k < W; ++k) {
+            double yi = y[c[k][pos]];
+            s[k] += yi;
+            q[k] += yi * yi;
+            sum[(f0 + k) * n + pos] = s[k];
+            sq[(f0 + k) * n + pos] = q[k];
+        }
+}
+
+/**
+ * Exhaustive best split over a node's memoised chains: prefix sums
+ * four features at a time, then every admissible cut scored in
+ * (feature, position) order against one running best.
  */
 BestSplit
-findBestSplit(const Matrix &x, const std::vector<double> &y,
-              const std::vector<std::size_t> &items,
-              std::size_t min_leaf, double parent_sse)
+findBestSplit(const FitDesign::Node &node, std::size_t dims,
+              const std::vector<double> &y, std::size_t min_leaf,
+              double parent_sse, std::vector<double> &sum,
+              std::vector<double> &sq)
 {
     BestSplit best;
-    std::size_t n = items.size();
-    if (n < 2 * min_leaf)
-        return best;
+    const std::size_t n = node.items.size();
+    sum.resize(dims * n);
+    sq.resize(dims * n);
+    const std::uint32_t *chain = node.chain.data();
+    std::size_t f = 0;
+    for (; f + 4 <= dims; f += 4)
+        prefixSums<4>(chain, n, f, y, sum.data(), sq.data());
+    for (; f < dims; ++f)
+        prefixSums<1>(chain, n, f, y, sum.data(), sq.data());
 
-    std::vector<std::size_t> order = items;
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return x.at(a, f) < x.at(b, f);
-                  });
-
-        // Prefix sums of y and y^2 along the sorted order.
-        double left_sum = 0.0, left_sq = 0.0;
-        double total_sum = 0.0, total_sq = 0.0;
-        for (std::size_t i : order) {
-            total_sum += y[i];
-            total_sq += y[i] * y[i];
-        }
-
-        for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-            double yi = y[order[pos]];
-            left_sum += yi;
-            left_sq += yi * yi;
-
+    for (f = 0; f < dims; ++f) {
+        const double total_sum = sum[f * n + n - 1];
+        const double total_sq = sq[f * n + n - 1];
+        for (std::uint32_t c = node.cutBegin[f]; c < node.cutBegin[f + 1];
+             ++c) {
+            std::size_t pos = node.cuts[c];
             std::size_t left_n = pos + 1;
             std::size_t right_n = n - left_n;
             if (left_n < min_leaf || right_n < min_leaf)
                 continue;
 
-            double a = x.at(order[pos], f);
-            double b = x.at(order[pos + 1], f);
-            if (a == b)
-                continue; // can't separate equal values
-
+            double left_sum = sum[f * n + pos];
+            double left_sq = sq[f * n + pos];
             double ln = static_cast<double>(left_n);
             double rn = static_cast<double>(right_n);
             double right_sum = total_sum - left_sum;
@@ -95,7 +113,7 @@ findBestSplit(const Matrix &x, const std::vector<double> &y,
             if (gain > best.gain) {
                 best.found = true;
                 best.feature = f;
-                best.threshold = 0.5 * (a + b);
+                best.cut = c;
                 best.gain = gain;
             }
         }
@@ -105,59 +123,47 @@ findBestSplit(const Matrix &x, const std::vector<double> &y,
 
 } // anonymous namespace
 
+/** What one fit threads through the recursion. */
+struct RegressionTree::Growth
+{
+    FitDesign &design;
+    const std::vector<double> &y;
+    std::vector<std::size_t> *designNodes;
+    std::vector<double> sum; //!< prefix-sum scratch of the split scan
+    std::vector<double> sq;
+};
+
 std::size_t
-RegressionTree::build(const Matrix &x, const std::vector<double> &y,
-                      std::vector<std::size_t> &items, std::size_t depth)
+RegressionTree::build(Growth &g, std::size_t rec, std::size_t depth)
 {
     std::size_t id = tree.size();
     tree.emplace_back();
+    if (g.designNodes)
+        g.designNodes->push_back(rec);
 
+    const FitDesign::Node &r = g.design.at(rec);
     {
         TreeNode &node = tree[id];
         node.depth = depth;
-        node.count = items.size();
-        nodeStats(y, items, node.mean, node.sse);
+        node.count = r.items.size();
+        nodeStats(g.y, r.items, node.mean, node.sse);
 
         // Hyper-rectangle statistics used by the RBF construction.
-        std::size_t d = x.cols();
-        node.center.assign(d, 0.0);
-        std::vector<double> lo(d, 0.0), hi(d, 0.0);
-        for (std::size_t f = 0; f < d; ++f) {
-            lo[f] = hi[f] = x.at(items.front(), f);
-        }
-        for (std::size_t i : items) {
-            for (std::size_t f = 0; f < d; ++f) {
-                double v = x.at(i, f);
-                node.center[f] += v;
-                lo[f] = std::min(lo[f], v);
-                hi[f] = std::max(hi[f], v);
-            }
-        }
-        node.halfWidth.assign(d, 0.0);
-        for (std::size_t f = 0; f < d; ++f) {
-            node.center[f] /= static_cast<double>(items.size());
-            node.halfWidth[f] = 0.5 * (hi[f] - lo[f]);
-        }
+        node.center.assign(r.center.begin(), r.center.end());
+        node.halfWidth.assign(r.halfWidth.begin(), r.halfWidth.end());
     }
 
-    if (depth >= opts.maxDepth)
+    if (depth >= opts.maxDepth || r.items.size() < 2 * opts.minLeaf)
         return id;
 
-    BestSplit split = findBestSplit(x, y, items, opts.minLeaf,
-                                    tree[id].sse);
+    BestSplit split = findBestSplit(g.design.chains(rec), g.design.dims(),
+                                    g.y, opts.minLeaf, tree[id].sse, g.sum,
+                                    g.sq);
     if (!split.found || split.gain < opts.minGain)
         return id;
-
-    std::vector<std::size_t> left_items, right_items;
-    left_items.reserve(items.size());
-    right_items.reserve(items.size());
-    for (std::size_t i : items) {
-        if (x.at(i, split.feature) < split.threshold)
-            left_items.push_back(i);
-        else
-            right_items.push_back(i);
-    }
-    assert(!left_items.empty() && !right_items.empty());
+    const double threshold =
+        g.design.threshold(g.design.at(rec), split.feature, split.cut);
+    const auto children = g.design.split(rec, split.feature, split.cut);
 
     // Record split statistics before recursing.
     FeatureImportance &fi = featStats[split.feature];
@@ -165,14 +171,10 @@ RegressionTree::build(const Matrix &x, const std::vector<double> &y,
     fi.splitCount += 1;
     fi.gainSum += split.gain;
 
-    // Free the parent's item list early; children copy what they need.
-    items.clear();
-    items.shrink_to_fit();
-
-    std::size_t left_id = build(x, y, left_items, depth + 1);
-    std::size_t right_id = build(x, y, right_items, depth + 1);
+    std::size_t left_id = build(g, children.first, depth + 1);
+    std::size_t right_id = build(g, children.second, depth + 1);
     tree[id].feature = split.feature;
-    tree[id].threshold = split.threshold;
+    tree[id].threshold = threshold;
     tree[id].left = left_id;
     tree[id].right = right_id;
     return id;
@@ -181,15 +183,29 @@ RegressionTree::build(const Matrix &x, const std::vector<double> &y,
 void
 RegressionTree::fit(const Matrix &x, const std::vector<double> &y)
 {
-    assert(x.rows() == y.size());
-    assert(x.rows() > 0);
-    tree.clear();
-    featStats.assign(x.cols(), FeatureImportance{});
+    FitDesign design(x);
+    fit(design, y);
+}
 
-    std::vector<std::size_t> items(x.rows());
+void
+RegressionTree::fit(FitDesign &design, const std::vector<double> &y,
+                    std::vector<std::size_t> *designNodes)
+{
+    assert(design.rows() == y.size());
+    assert(design.rows() > 0);
+    tree.clear();
+    // Leaves hold minLeaf items or more, so a tree has fewer than
+    // 2 * rows / minLeaf nodes.
+    tree.reserve(2 * design.rows() / std::max<std::size_t>(opts.minLeaf, 1));
+    featStats.assign(design.dims(), FeatureImportance{});
+    if (designNodes)
+        designNodes->clear();
+
+    std::vector<std::uint32_t> items(design.rows());
     for (std::size_t i = 0; i < items.size(); ++i)
-        items[i] = i;
-    build(x, y, items, 0);
+        items[i] = static_cast<std::uint32_t>(i);
+    Growth g{design, y, designNodes, {}, {}};
+    build(g, design.node(items), 0);
 }
 
 double

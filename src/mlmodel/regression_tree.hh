@@ -11,15 +11,39 @@
  *  2. Parameter importance (Figure 11): the parameters that explain the
  *     most output variance split earliest ("split order") and most often
  *     ("split frequency"); the star plots are drawn from these statistics.
+ *
+ * Growth reads everything that depends only on x from a FitDesign
+ * (mlmodel/fit_design.hh): each node's centre and half-width, the
+ * per-feature sort chains of its split search with their cut
+ * positions, and the children of a cut. fit(x, y) is a one-shot use of
+ * a fresh design; the predictor shares one design across its
+ * coefficient fits. A node another fit already grew is a memo hit, and
+ * a hit is exact: item lists are ascending and every memoised value is
+ * a pure function of the item list and x (the full argument is in
+ * fit_design.hh), so a tree grown on a warmed design is the tree grown
+ * alone.
+ *
+ * The split search is the exhaustive scan of a CART tree: for each
+ * feature in order, walk the chain sorted by that feature, keep prefix
+ * sums of y and y^2, and score every cut that leaves min-leaf items on
+ * both sides; the first strictly larger gain wins. The prefix sums of
+ * several features run side by side, each in its own accumulator and
+ * in its chain's order, so every sum is the chain it always was (a
+ * feature's total is its prefix at the chain's end: the separate
+ * totals pass added the same values in the same order). The gains are
+ * then scored feature by feature, cut by cut, against one running
+ * best, as the one-feature-at-a-time loop scored them.
  */
 
 #ifndef WAVEDYN_MLMODEL_REGRESSION_TREE_HH
 #define WAVEDYN_MLMODEL_REGRESSION_TREE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "mlmodel/fit_design.hh"
 #include "mlmodel/model.hh"
 
 namespace wavedyn
@@ -72,6 +96,14 @@ class RegressionTree : public RegressionModel
     explicit RegressionTree(TreeOptions opts = {});
 
     void fit(const Matrix &x, const std::vector<double> &y) override;
+
+    /**
+     * Fit on a shared design (the tree fit() grows on its x).
+     * @param designNodes when non-null, receives the design record id
+     *        of every node, in nodes() order.
+     */
+    void fit(FitDesign &design, const std::vector<double> &y,
+             std::vector<std::size_t> *designNodes = nullptr);
     double predict(const std::vector<double> &input) const override;
     std::string name() const override { return "regression-tree"; }
     void save(std::ostream &os) const override;
@@ -103,8 +135,8 @@ class RegressionTree : public RegressionModel
     std::vector<double> spokesByFrequency() const;
 
   private:
-    std::size_t build(const Matrix &x, const std::vector<double> &y,
-                      std::vector<std::size_t> &items, std::size_t depth);
+    struct Growth;
+    std::size_t build(Growth &g, std::size_t rec, std::size_t depth);
 
     TreeOptions opts;
     std::vector<TreeNode> tree;

@@ -164,6 +164,37 @@ DesignSpace::flatTrainIndices(std::size_t flat,
             std::to_string(trainSpaceSize()) + " configurations");
 }
 
+std::vector<std::size_t>
+DesignSpace::flatStepDigits(std::size_t step) const
+{
+    std::vector<std::size_t> digits(params.size() + 1);
+    std::size_t rest = step;
+    for (std::size_t i = params.size(); i-- > 0;) {
+        std::size_t levels = params[i].levels();
+        digits[i] = rest % levels;
+        rest /= levels;
+    }
+    digits[params.size()] = rest;
+    return digits;
+}
+
+bool
+DesignSpace::advanceTrainIndices(
+    std::vector<std::size_t> &idx,
+    const std::vector<std::size_t> &digits) const
+{
+    assert(idx.size() == params.size());
+    assert(digits.size() == params.size() + 1);
+    std::size_t carry = 0;
+    for (std::size_t i = params.size(); i-- > 0;) {
+        std::size_t v = idx[i] + digits[i] + carry;
+        std::size_t levels = params[i].levels();
+        carry = v >= levels;
+        idx[i] = carry ? v - levels : v;
+    }
+    return carry == 0 && digits[params.size()] == 0;
+}
+
 DesignPoint
 DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
 {

@@ -116,6 +116,25 @@ class DesignSpace
                           std::vector<std::size_t> &idx) const;
 
     /**
+     * The mixed-radix digits of a flat step, for advanceTrainIndices:
+     * dimensions() digits as flatTrainIndices would decode @p step,
+     * plus one last entry holding step / trainSpaceSize() (non-zero
+     * when the step alone passes the end of the space).
+     */
+    std::vector<std::size_t> flatStepDigits(std::size_t step) const;
+
+    /**
+     * Advance decoded training indices by a flat step: @p idx, as
+     * flatTrainIndices decoded index f, becomes the decoding of
+     * f + step, by a digit-wise add with carries (no division).
+     * @param digits flatStepDigits(step).
+     * @return false, with @p idx wrapped, when f + step >=
+     *         trainSpaceSize().
+     */
+    bool advanceTrainIndices(std::vector<std::size_t> &idx,
+                             const std::vector<std::size_t> &digits) const;
+
+    /**
      * The training configuration at a flat enumeration index.
      * @throws std::out_of_range when flat >= trainSpaceSize().
      */

@@ -210,6 +210,33 @@ TEST(DesignSpace, TrainIndicesInvertPointFromTrainIndices)
     }
 }
 
+TEST(DesignSpace, AdvanceByStrideMatchesFlatDecodeEverywhere)
+{
+    // Strides 3 and 7 carry across several digits at once (the last
+    // dimensions have 4 levels).
+    auto space = DesignSpace::paper();
+    const std::size_t size = space.trainSpaceSize();
+    std::vector<std::size_t> walked, decoded;
+    for (std::size_t stride : {1u, 3u, 7u}) {
+        const std::vector<std::size_t> digits = space.flatStepDigits(stride);
+        space.flatTrainIndices(0, walked);
+        std::size_t flat = 0;
+        for (; flat + stride < size; flat += stride) {
+            ASSERT_TRUE(space.advanceTrainIndices(walked, digits))
+                << "stride " << stride << " at " << flat;
+            space.flatTrainIndices(flat + stride, decoded);
+            ASSERT_EQ(walked, decoded)
+                << "stride " << stride << " at " << flat + stride;
+        }
+        // One more step passes the end of the space.
+        EXPECT_FALSE(space.advanceTrainIndices(walked, digits))
+            << "stride " << stride;
+    }
+    // A step longer than the space wraps from any start.
+    std::vector<std::size_t> idx(space.dimensions(), 0);
+    EXPECT_FALSE(space.advanceTrainIndices(idx, space.flatStepDigits(size)));
+}
+
 TEST(DesignSpace, FlatIndexPastTheSpaceThrows)
 {
     auto space = DesignSpace::paper();
