@@ -34,9 +34,10 @@
  * intervalInstrs, and DVM policy, differing only in machine config —
  * are additionally folded into config-batched simulateBatch() calls
  * of at most globalBatchWidth() lanes (sim/batch.hh): the decode is
- * paid once per chunk instead of once per run. Chunking is derived
- * from the task list and the width alone, and the batched kernel is
- * bit-identical to scalar simulate(), so every report stays
+ * paid once per chunk instead of once per run. Every computed chunk
+ * goes through simulateBatch(), a one-task chunk included. Chunking
+ * is derived from the task list and the width alone, and a lane's
+ * result does not depend on its batch, so every report stays
  * byte-identical for any --jobs and any --batch-width. Progress,
  * cache, and telemetry events still fire once per logical run.
  */
@@ -197,13 +198,15 @@ class RunScheduler
     }
 
     /**
-     * How run() computes one task's result; defaults to simulate().
+     * How run() computes one task's result when set; by default tasks
+     * go through simulateBatch() chunks.
      */
     using TaskRunner = std::function<SimResult(const RunTask &)>;
 
     /**
-     * Replace the task computation (empty restores simulate()). This
-     * is a deliberate fault-injection seam: simulate() is pure and
+     * Replace the task computation (empty restores the batched
+     * simulation); a runner is called once per task, never batched.
+     * This is a deliberate fault-injection seam: simulate() is pure and
      * asserts on bad input rather than throwing, so the exception-
      * safety contract of run() — the primitive shard retry sits on —
      * is only testable with a runner that throws on demand. The
@@ -230,7 +233,7 @@ class RunScheduler
     RunProgress progress; //!< optional worker-side completion hook
     CacheRunEvents events;
     std::shared_ptr<ResultCache> cache; //!< nullptr = caching off
-    TaskRunner runner;        //!< empty = simulate()
+    TaskRunner runner;        //!< empty = simulateBatch() chunks
     std::size_t completed = 0; //!< tasks below this all resolved
     std::size_t released = 0; //!< results below this index were freed
 };

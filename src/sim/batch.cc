@@ -55,26 +55,15 @@ simulateBatch(const BenchmarkProfile &bench,
               std::size_t numIntervals, std::size_t intervalInstrs,
               const DvmConfig &dvm)
 {
-    std::vector<BatchLane> lanes;
-    lanes.reserve(configs.size());
-    for (const SimConfig &cfg : configs)
-        lanes.push_back(BatchLane{cfg, dvm});
-    return simulateBatch(bench, lanes, numIntervals, intervalInstrs);
-}
-
-std::vector<SimResult>
-simulateBatch(const BenchmarkProfile &bench,
-              const std::vector<BatchLane> &lanes,
-              std::size_t numIntervals, std::size_t intervalInstrs)
-{
     assert(numIntervals > 0 && intervalInstrs > 0);
-    const std::size_t n = lanes.size();
+    const std::size_t n = configs.size();
     std::vector<SimResult> out(n);
     if (n == 0)
         return out;
 
-    // Identical run shape to scalar simulate(): an eighth of the body
-    // warms caches/TLBs/predictors before sampling begins.
+    // An eighth of the run warms caches, TLBs and predictor tables
+    // before sampling begins (the paper fast-forwards to a SimPoint,
+    // which arrives with warm state).
     std::uint64_t body =
         static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
     std::uint64_t warmup = body / 8;
@@ -83,8 +72,8 @@ simulateBatch(const BenchmarkProfile &bench,
     SharedOpWindow ops(stream);
 
     std::size_t slab = 0;
-    for (const BatchLane &lane : lanes)
-        slab += Pipeline::arenaBytes(lane.config);
+    for (const SimConfig &cfg : configs)
+        slab += Pipeline::arenaBytes(cfg);
     BatchArena arena(slab);
 
     // Lane-major (SoA) driver state: pipelines, power models, and the
@@ -96,20 +85,17 @@ simulateBatch(const BenchmarkProfile &bench,
     std::vector<std::uint64_t> startCycles(n, 0);
     pipes.reserve(n);
     powers.reserve(n);
-    for (const BatchLane &lane : lanes) {
-        pipes.push_back(std::make_unique<Pipeline>(stream, lane.config,
-                                                   lane.dvm, arena));
-        pipes.back()->attachSharedOps(&ops);
-        pipes.back()->setIdleSkip(true);
-        powers.emplace_back(lane.config);
+    for (const SimConfig &cfg : configs) {
+        pipes.push_back(std::make_unique<Pipeline>(cfg, dvm, ops, arena));
+        powers.emplace_back(cfg);
         out[pipes.size() - 1].intervals.reserve(numIntervals);
     }
 
-    // Interval-grained lockstep: every lane makes exactly the scalar
-    // sequence of runInstructions() calls, one step at a time across
-    // all lanes, so the shared window's live span stays bounded by
-    // one step plus the in-flight fetch skew. After each step the
-    // window drops everything below the slowest lane.
+    // Interval-grained lockstep: every lane makes the same sequence
+    // of runInstructions() calls, one step at a time across all
+    // lanes, so the shared window's live span stays bounded by one
+    // step plus the in-flight fetch skew. After each step the window
+    // drops everything below the slowest lane.
     //
     // The fine interleave is deliberate, and measurably better than
     // coarser schedules (several intervals — or the whole run — per
@@ -147,8 +133,7 @@ simulateBatch(const BenchmarkProfile &bench,
         for (std::size_t l = 0; l < n; ++l)
             out[l].intervals.push_back(
                 assembleIntervalSample(*pipes[l], powers[l],
-                                       lanes[l].config,
-                                       startCycles[l]));
+                                       configs[l], startCycles[l]));
     }
 
     for (std::size_t l = 0; l < n; ++l) {

@@ -11,10 +11,9 @@
  * Storage is a bounded node pool with per-bucket intrusive lists: the
  * pipeline has at most one pending event per issued-but-uncommitted
  * ROB entry, so the pool never needs more than robSize nodes, which
- * lets a batched run carve it (and the bucket heads) from the batch
- * arena (sim/batch_arena.hh) instead of the heap. The heap-mode
- * constructor grows the pool on demand; exceeding an arena-mode
- * capacity falls back to an owned pool, so a wrong estimate costs an
+ * lets it (and the bucket heads) be carved from the batch arena
+ * (sim/batch_arena.hh). Exceeding the carved pool or horizon falls
+ * back to owned, growing storage, so a wrong estimate costs an
  * allocation, never an event.
  *
  * Drain order is the exact order the original std::priority_queue
@@ -53,41 +52,33 @@ class CalendarQueue
     static constexpr std::uint64_t kNoEvent = ~0ull;
 
     /**
-     * Heap mode: bucket heads and the node pool are owned; the pool
-     * grows on demand.
+     * Heads and a @p maxPending node pool are carved from @p arena.
+     * The pipeline's bound is robSize (one pending completion per
+     * issued, uncommitted entry).
      *
      * @param horizon minimum schedulable distance in cycles; the
      *        bucket ring rounds up to a power of two and grows on
      *        demand if an event ever lands further out.
      */
-    explicit CalendarQueue(std::uint64_t horizon)
-    {
-        std::uint64_t cap = ceilPow2(horizon + 1);
-        ownHeads.assign(cap, kNil);
-        mask = cap - 1;
-    }
-
-    /**
-     * Arena mode: heads and a @p maxPending node pool are carved from
-     * @p arena. The pipeline's bound is robSize (one pending
-     * completion per issued, uncommitted entry).
-     */
     CalendarQueue(std::uint64_t horizon, std::size_t maxPending,
                   BatchArena &arena)
     {
         std::uint64_t cap = ceilPow2(horizon + 1);
-        extHeads = arena.allocate<std::uint32_t>(cap);
+        heads = arena.allocate<std::uint32_t>(cap);
         for (std::uint64_t b = 0; b < cap; ++b)
-            extHeads[b] = kNil;
+            heads[b] = kNil;
         mask = cap - 1;
-        extNodes = arena.allocate<Node>(maxPending);
+        nodes = arena.allocate<Node>(maxPending);
         poolCap = maxPending;
     }
 
+    CalendarQueue(const CalendarQueue &) = delete;
+    CalendarQueue &operator=(const CalendarQueue &) = delete;
+
     std::size_t pending() const { return count; }
 
-    /** Arena bytes the arena-mode constructor will carve (heads +
-     *  node pool + alignment slack) — for batch slab sizing. */
+    /** Arena bytes the constructor will carve (heads + node pool +
+     *  alignment slack) — for batch slab sizing. */
     static std::size_t
     arenaBytes(std::uint64_t horizon, std::size_t maxPending)
     {
@@ -108,13 +99,11 @@ class CalendarQueue
         if (eventCycle - now > mask)
             growHorizon(eventCycle - now);
         std::uint32_t idx = allocNode();
-        Node *ns = nodes();
-        std::uint32_t *hs = heads();
         std::uint64_t b = eventCycle & mask;
-        ns[idx].cycle = eventCycle;
-        ns[idx].seq = seq;
-        ns[idx].next = hs[b];
-        hs[b] = idx;
+        nodes[idx].cycle = eventCycle;
+        nodes[idx].seq = seq;
+        nodes[idx].next = heads[b];
+        heads[b] = idx;
         ++count;
         if (eventCycle < minHint)
             minHint = eventCycle;
@@ -136,12 +125,12 @@ class CalendarQueue
         // this call fires strictly later — keep the hint monotone.
         if (minHint <= cycle)
             minHint = cycle + 1;
-        std::uint32_t *hs = heads();
+        std::uint32_t *hs = heads;
         std::uint64_t b = cycle & mask;
         std::uint32_t idx = hs[b];
         if (idx == kNil)
             return;
-        Node *ns = nodes();
+        Node *ns = nodes;
         scratch.clear();
         while (idx != kNil) {
             assert(ns[idx].cycle == cycle);
@@ -184,8 +173,7 @@ class CalendarQueue
         std::uint64_t c = from;
         if (minHint > c)
             c = minHint; // nothing pending below the lower bound
-        const std::uint32_t *hs =
-            extHeads ? extHeads : ownHeads.data();
+        const std::uint32_t *hs = heads;
         for (; c <= last; ++c)
             if (hs[c & mask] != kNil) {
                 minHint = c;
@@ -206,15 +194,12 @@ class CalendarQueue
         std::uint32_t next = kNil;
     };
 
-    std::uint32_t *heads() { return extHeads ? extHeads : ownHeads.data(); }
-    Node *nodes() { return extNodes ? extNodes : ownNodes.data(); }
-
     std::uint32_t
     allocNode()
     {
         if (freeHead != kNil) {
             std::uint32_t idx = freeHead;
-            freeHead = nodes()[idx].next;
+            freeHead = nodes[idx].next;
             return idx;
         }
         if (fresh == poolCap)
@@ -228,11 +213,9 @@ class CalendarQueue
     {
         std::size_t bigger = std::max<std::size_t>(64, poolCap * 2);
         std::vector<Node> next(bigger);
-        const Node *old = extNodes ? extNodes : ownNodes.data();
-        if (old != nullptr)
-            std::copy(old, old + poolCap, next.begin());
+        std::copy(nodes, nodes + poolCap, next.begin());
         ownNodes = std::move(next);
-        extNodes = nullptr;
+        nodes = ownNodes.data();
         poolCap = bigger;
     }
 
@@ -242,27 +225,25 @@ class CalendarQueue
     {
         std::uint64_t cap = std::max((mask + 1) * 2, ceilPow2(dist + 1));
         std::vector<std::uint32_t> bigger(cap, kNil);
-        Node *ns = nodes();
-        std::uint32_t *hs = heads();
         for (std::uint64_t b = 0; b <= mask; ++b) {
-            std::uint32_t idx = hs[b];
+            std::uint32_t idx = heads[b];
             while (idx != kNil) {
-                std::uint32_t nxt = ns[idx].next;
-                std::uint64_t nb = ns[idx].cycle & (cap - 1);
-                ns[idx].next = bigger[nb];
+                std::uint32_t nxt = nodes[idx].next;
+                std::uint64_t nb = nodes[idx].cycle & (cap - 1);
+                nodes[idx].next = bigger[nb];
                 bigger[nb] = idx;
                 idx = nxt;
             }
         }
         ownHeads = std::move(bigger);
-        extHeads = nullptr;
+        heads = ownHeads.data();
         mask = cap - 1;
     }
 
-    std::vector<std::uint32_t> ownHeads;
-    std::vector<Node> ownNodes;
-    std::uint32_t *extHeads = nullptr; //!< arena-carved, when set
-    Node *extNodes = nullptr;          //!< arena-carved, when set
+    std::uint32_t *heads = nullptr; //!< arena-carved, or ownHeads
+    Node *nodes = nullptr;          //!< arena-carved, or ownNodes
+    std::vector<std::uint32_t> ownHeads; //!< horizon growth fallback
+    std::vector<Node> ownNodes;          //!< pool growth fallback
     std::uint64_t mask = 0;
     std::size_t poolCap = 0;
     std::size_t fresh = 0; //!< pool nodes handed out at least once

@@ -19,20 +19,8 @@ AvfSample::combined(const SimConfig &cfg) const
            bits;
 }
 
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-                   DvmConfig dvm)
-    : Pipeline(stream, cfg, dvm, nullptr)
-{
-}
-
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-                   DvmConfig dvm, BatchArena &arena)
-    : Pipeline(stream, cfg, dvm, &arena)
-{
-}
-
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-                   DvmConfig dvm, BatchArena *arena)
+Pipeline::Pipeline(const SimConfig &cfg, DvmConfig dvm,
+                   SharedOpWindow &ops, BatchArena &arena)
     : cfg(cfg),
       il1Cache(cfg.il1SizeKb, cfg.il1Assoc, cfg.il1LineBytes, "il1"),
       dl1Cache(cfg.dl1SizeKb, cfg.dl1Assoc, cfg.dl1LineBytes, "dl1"),
@@ -45,20 +33,12 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
       iqAvfAcc(cfg.iqSize), robAvfAcc(cfg.robSize),
       lsqAvfAcc(cfg.lsqSize),
       dvmCtl(dvm, cfg.iqSize),
-      window(arena ? RingBuffer<InFlight>(windowSlots(cfg), *arena)
-                   : RingBuffer<InFlight>(windowSlots(cfg))),
-      // Longest schedulable latency: a load missing DTLB, DL1 and L2.
-      // Fixed execution latencies are far shorter; the queue grows on
-      // demand should a configuration ever exceed the bound. The
-      // arena-mode node pool is bounded by the ROB: at most one
-      // pending completion per issued, uncommitted entry.
-      completions(arena
-                      ? CalendarQueue(cfg.dl1Lat + cfg.tlbMissLat +
-                                          cfg.l2Lat + cfg.memLat + 16,
-                                      cfg.robSize + 1, *arena)
-                      : CalendarQueue(cfg.dl1Lat + cfg.tlbMissLat +
-                                      cfg.l2Lat + cfg.memLat + 16)),
-      fetchCursor(stream)
+      window(windowSlots(cfg), arena),
+      // The node pool is bounded by the ROB: at most one pending
+      // completion per issued, uncommitted entry.
+      completions(completionHorizon(cfg), cfg.robSize + 1, arena),
+      sharedOps(ops),
+      idleSkip(!dvm.enabled)
 {
     slotMask = window.capacity() - 1;
     wake.resize(window.capacity());
@@ -79,12 +59,11 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
 std::size_t
 Pipeline::arenaBytes(const SimConfig &cfg)
 {
-    std::uint64_t horizon =
-        cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat + 16;
     std::size_t bytes =
         static_cast<std::size_t>(ceilPow2(windowSlots(cfg))) *
         sizeof(InFlight);
-    bytes += CalendarQueue::arenaBytes(horizon, cfg.robSize + 1);
+    bytes += CalendarQueue::arenaBytes(completionHorizon(cfg),
+                                       cfg.robSize + 1);
     return bytes + 3 * alignof(InFlight); // per-array alignment slack
 }
 
@@ -435,11 +414,7 @@ Pipeline::doFetch()
     unsigned fetched = 0;
     while (fetched < cfg.fetchWidth && window.size() - robCount < fq_cap) {
         InFlight &e = window.push_back(InFlight{});
-        // Batched lanes read the shared decode window by absolute
-        // index — the same op the private cursor's next() would have
-        // produced (workload/shared_decode.hh pins the identity).
-        e.op = sharedOps ? sharedOps->opAt(fetchPos)
-                         : fetchCursor.next();
+        e.op = sharedOps.opAt(fetchPos);
         ++fetchPos;
 
         // Instruction cache: one access per new line.
@@ -563,7 +538,7 @@ Pipeline::idleCycles()
     // state the checks read is frozen across inert cycles: completion,
     // commit, issue, dispatch and fetch are the only mutators, each is
     // blocked below, and the next completion bounds the skip. The DVM
-    // controller is disabled whenever this runs (setIdleSkip), so
+    // controller is disabled whenever this runs (idleSkip), so
     // dispatch gating never observes a cycle.
 
     // Commit: the head must be absent, unissued, or incomplete.

@@ -63,7 +63,8 @@
  *    schedule/drain are O(1) amortised. Buckets are sorted before
  *    draining because within-cycle completion order feeds
  *    floating-point AVF accumulation and is therefore bit-significant.
- *  - Fetch decodes the instruction stream through a streaming
+ *  - Fetch reads decoded ops from a SharedOpWindow by absolute
+ *    dynamic index; the window decodes through a streaming
  *    InstructionStream::Cursor instead of random-access at(i), which
  *    re-derives segment constants only at phase/modulation boundaries
  *    (see workload/stream.hh).
@@ -71,35 +72,34 @@
  * Batched-kernel notes (sim/batch.hh)
  * -----------------------------------
  * simulateBatch() runs N configurations of the same run as N Pipeline
- * lanes in chunked lockstep. Three hooks on this class serve it, all
- * bit-identity-preserving:
+ * lanes in interval-grained lockstep; simulate() is its one-lane
+ * case. The one constructor wires three mechanisms into every
+ * pipeline, all bit-identity-preserving:
  *
- *  - Shared decode: attachSharedOps() redirects fetch from the
- *    private cursor to a SharedOpWindow (workload/shared_decode.hh),
- *    so the stream is decoded once per batch instead of once per
- *    lane. fetchPosition() lets the driver trim the window to the
- *    slowest lane.
- *  - Arena state: the arena constructor carves the ROB/fetch ring
- *    and the calendar queue's bounded node pool (pending completions
- *    never exceed robSize — one per issued, uncommitted entry) from
- *    one batch-owned BatchArena slab instead of N sets of heap
- *    allocations. The per-run state lives exactly as long as the
- *    batch, so teardown is one slab release.
- *  - Idle-cycle fast-forward: setIdleSkip() lets runInstructions()
- *    jump over provably inert cycles — every stage blocked, with the
- *    earliest possible state change bounded by the next completion
- *    event or fetch unblock — in one step, with exact integer
- *    occupancy accounting (occ * k) and bitwise-exact AVF
- *    accumulation (AvfAccumulator::tickMany replays the FP adds with
- *    a fixed-point early exit). Readiness is exact and only a
- *    completion changes it, so the issue stage is inert exactly when
- *    no ready resident sits among the oldest scanCap: every dead
- *    cycle is skippable. The skip is only armed when the DVM
- *    controller is disabled: an enabled controller observes and
- *    mutates its window state every cycle, so no cycle is inert.
- *    High-CPI (memory-bound) configurations spend most cycles
- *    waiting on memory, which is where the batched kernel's ~3-5x
- *    comes from.
+ *  - Shared decode: fetch reads the batch's SharedOpWindow
+ *    (workload/shared_decode.hh), so the stream is decoded once per
+ *    batch instead of once per lane. fetchPosition() lets
+ *    simulateBatch() trim the window to the slowest lane.
+ *  - Arena state: the ROB/fetch ring and the calendar queue's bounded
+ *    node pool (pending completions never exceed robSize — one per
+ *    issued, uncommitted entry) are carved from one batch-owned
+ *    BatchArena slab instead of N sets of heap allocations. The
+ *    per-run state lives exactly as long as the batch, so teardown is
+ *    one slab release.
+ *  - Idle-cycle fast-forward: runInstructions() jumps over provably
+ *    inert cycles — every stage blocked, with the earliest possible
+ *    state change bounded by the next completion event or fetch
+ *    unblock — in one step, with exact integer occupancy accounting
+ *    (occ * k) and bitwise-exact AVF accumulation
+ *    (AvfAccumulator::tickMany replays the FP adds with a fixed-point
+ *    early exit). Readiness is exact and only a completion changes
+ *    it, so the issue stage is inert exactly when no ready resident
+ *    sits among the oldest scanCap: every dead cycle is skippable.
+ *    The skip is armed exactly when the DVM controller is disabled:
+ *    an enabled controller observes and mutates its window state
+ *    every cycle, so no cycle is inert. High-CPI (memory-bound)
+ *    configurations spend most cycles waiting on memory, which is
+ *    where the skip pays most.
  *
  * Per-cycle machine state stays laid out per lane (an AoS of
  * pipelines): each lane's control flow diverges after the first
@@ -108,10 +108,10 @@
  * batch driver's per-lane bookkeeping and interval-sample assembly
  * arrays (sim/batch.cc), where iteration really is lane-major.
  *
- * Scalar simulate() stays byte-for-byte the reference: it takes none
- * of these hooks, so every batched optimisation must reproduce its
- * results exactly (pinned by tests/sim/batch_test.cc and the golden
- * report tests) rather than redefining them.
+ * The reference for every result is the frozen digest oracle
+ * (tests/data/sim_digests.txt): every mechanism here must reproduce
+ * its digests exactly rather than redefine them. The golden report
+ * tests pin the same bytes end to end.
  *
  * bench/sim_throughput.cc measures the resulting simulate()
  * instructions/second and records them in BENCH_sim.json.
@@ -157,45 +157,25 @@ struct AvfSample
 class Pipeline
 {
   public:
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm = {});
-
     /**
-     * Batched-lane construction: per-run rings and the calendar node
-     * pool are carved from @p arena (see "Batched-kernel notes").
-     * The pipeline must not outlive the arena.
+     * Fetch reads decoded ops from @p ops by absolute dynamic index;
+     * per-run rings and the calendar node pool are carved from
+     * @p arena (see "Batched-kernel notes"). The idle fast-forward is
+     * armed exactly when @p dvm is disabled. The pipeline must not
+     * outlive @p ops or @p arena, and @p ops must retain every index
+     * from fetchPosition() on.
      */
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm, BatchArena &arena);
+    Pipeline(const SimConfig &cfg, DvmConfig dvm, SharedOpWindow &ops,
+             BatchArena &arena);
 
     /** Simulate until `count` more instructions commit. */
     void runInstructions(std::uint64_t count);
-
-    /**
-     * Fetch decoded ops from @p w (by absolute dynamic index) instead
-     * of the private cursor. Call before the first runInstructions();
-     * the window must outlive the pipeline and must retain every
-     * index from fetchPosition() on.
-     */
-    void attachSharedOps(SharedOpWindow *w) { sharedOps = w; }
 
     /** Dynamic index the next fetched op will have. */
     std::uint64_t fetchPosition() const { return fetchPos; }
 
     /** Arena bytes one lane of @p cfg carves (batch slab sizing). */
     static std::size_t arenaBytes(const SimConfig &cfg);
-
-    /**
-     * Arm the idle-cycle fast-forward (batch path only; scalar
-     * simulate() never calls this, staying the plain-loop reference).
-     * Ignored — runInstructions stays cycle-by-cycle — when the DVM
-     * controller is enabled, since it observes every cycle.
-     */
-    void
-    setIdleSkip(bool on)
-    {
-        idleSkip = on && !dvmCtl.config().enabled;
-    }
 
     /** Activity accumulated since the last interval reset. */
     const ActivityCounts &intervalActivity() const { return activity; }
@@ -209,7 +189,7 @@ class Pipeline
     /** Cycles elapsed since construction. */
     std::uint64_t now() const { return cycle; }
 
-    /** Cycles covered by the idle fast-forward (0 on the scalar path). */
+    /** Cycles covered by the idle fast-forward (0 with DVM enabled). */
     std::uint64_t idleSkippedCycles() const { return idleSkipped; }
 
     /** Instructions committed since construction. */
@@ -252,10 +232,6 @@ class Pipeline
         std::uint8_t done = 0;    //!< this slot's result wrote back
     };
 
-    /** Shared body of the public constructors (arena optional). */
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm, BatchArena *arena);
-
     void cycleOnce();
     void doCompletions();
     void doCommit();
@@ -272,6 +248,17 @@ class Pipeline
 
     /** Account @p k inert cycles exactly and advance the clock. */
     void skipCycles(std::uint64_t k);
+
+    /**
+     * Longest schedulable latency: a load missing DTLB, DL1 and L2.
+     * Fixed execution latencies are far shorter; the completion queue
+     * grows on demand should a configuration ever exceed the bound.
+     */
+    static std::uint64_t
+    completionHorizon(const SimConfig &cfg)
+    {
+        return cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat + 16;
+    }
 
     /** Ring capacity: the ROB plus a full fetch queue behind it. */
     static std::size_t
@@ -316,10 +303,9 @@ class Pipeline
     std::size_t robCount = 0;
     std::uint64_t frontSeq = 0; //!< seq of window.front()
     CalendarQueue completions;
-    InstructionStream::Cursor fetchCursor;
-    SharedOpWindow *sharedOps = nullptr; //!< batch decode, when set
+    SharedOpWindow &sharedOps;  //!< the batch's decoded ops
     std::uint64_t fetchPos = 0; //!< ops fetched so far
-    bool idleSkip = false;      //!< fast-forward armed (batch path)
+    const bool idleSkip;        //!< fast-forward armed (DVM off)
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over
 
     // Event-driven issue state, indexed by ROB slot (seq & slotMask).

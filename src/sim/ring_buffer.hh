@@ -11,12 +11,10 @@
  * an element is alive, so pointers into the buffer stay valid until
  * that element's pop_front().
  *
- * Storage comes from an owned vector by default, or — for batched
- * runs constructing N pipelines at once (sim/batch.hh) — from a
- * BatchArena slab, so all lanes' rings share one allocation. An
- * arena-backed ring must not outlive its arena and must not be
- * copied (the copy would alias the same slots); the owned mode keeps
- * the original value semantics.
+ * Storage is carved from a BatchArena slab, so all lanes of a batched
+ * run (sim/batch.hh) share one allocation. A ring must not outlive
+ * its arena, and it is not copyable (a copy would alias the same
+ * slots).
  */
 
 #ifndef WAVEDYN_SIM_RING_BUFFER_HH
@@ -25,7 +23,6 @@
 #include <cassert>
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "sim/batch_arena.hh"
 #include "util/bits.hh"
@@ -38,21 +35,19 @@ template <typename T>
 class RingBuffer
 {
   public:
-    /** @param capacity minimum element capacity (>= 1 enforced). */
-    explicit RingBuffer(std::size_t capacity)
-    {
-        std::size_t cap = static_cast<std::size_t>(ceilPow2(capacity));
-        own.resize(cap);
-        mask = cap - 1;
-    }
-
-    /** Slots carved from @p arena instead of the heap. */
+    /**
+     * @param capacity minimum element capacity (>= 1 enforced)
+     * @param arena where the slots are carved from
+     */
     RingBuffer(std::size_t capacity, BatchArena &arena)
     {
         std::size_t cap = static_cast<std::size_t>(ceilPow2(capacity));
-        ext = arena.allocate<T>(cap);
+        slots = arena.allocate<T>(cap);
         mask = cap - 1;
     }
+
+    RingBuffer(const RingBuffer &) = delete;
+    RingBuffer &operator=(const RingBuffer &) = delete;
 
     bool empty() const { return count == 0; }
     bool full() const { return count == mask + 1; }
@@ -64,14 +59,14 @@ class RingBuffer
     operator[](std::size_t i)
     {
         assert(i < count);
-        return slots()[(head + i) & mask];
+        return slots[(head + i) & mask];
     }
 
     const T &
     operator[](std::size_t i) const
     {
         assert(i < count);
-        return slots()[(head + i) & mask];
+        return slots[(head + i) & mask];
     }
 
     T &front() { return (*this)[0]; }
@@ -84,7 +79,7 @@ class RingBuffer
     push_back(T v)
     {
         assert(!full());
-        T &slot = slots()[(head + count) & mask];
+        T &slot = slots[(head + count) & mask];
         slot = std::move(v);
         ++count;
         return slot;
@@ -107,11 +102,7 @@ class RingBuffer
     }
 
   private:
-    T *slots() { return ext ? ext : own.data(); }
-    const T *slots() const { return ext ? ext : own.data(); }
-
-    std::vector<T> own;
-    T *ext = nullptr; //!< arena-carved slots, when set
+    T *slots = nullptr; //!< arena-carved
     std::size_t mask = 0;
     std::size_t head = 0;
     std::size_t count = 0;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Batching on/off golden test: every campaign report must be
+ * Batch-width golden test: every campaign report must be
  * byte-identical whether the scheduler folds cache-missing runs into
- * config-batched simulateBatch() chunks (--batch-width > 1) or runs
- * each task through scalar simulate() (--batch-width 1), at any jobs
- * count. The suite run is additionally pinned against the checked-in
- * golden (tests/data/golden_generated_suite.txt), which predates the
- * batched kernel — so batching is also proven not to have moved a
- * byte relative to the pre-batching simulator.
+ * wide simulateBatch() chunks (--batch-width > 1) or gives each task
+ * a one-lane batch (--batch-width 1), at any jobs count. The suite
+ * run is additionally pinned against the checked-in golden
+ * (tests/data/golden_generated_suite.txt), which predates the batched
+ * kernel — so batching is also proven not to have moved a byte
+ * relative to the pre-batching simulator.
  */
 
 #include <gtest/gtest.h>

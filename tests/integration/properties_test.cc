@@ -12,12 +12,30 @@
 
 #include "power/model.hh"
 #include "sim/simulator.hh"
+#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace wavedyn
 {
 namespace
 {
+
+/**
+ * A Pipeline built the one way, beside the decode window and arena it
+ * reads; @p stream must outlive it.
+ */
+struct Lane
+{
+    Lane(const InstructionStream &stream, const SimConfig &cfg)
+        : ops(stream), arena(Pipeline::arenaBytes(cfg)),
+          pipe(cfg, {}, ops, arena)
+    {
+    }
+
+    SharedOpWindow ops;
+    BatchArena arena;
+    Pipeline pipe;
+};
 
 /** Benchmark x machine parameterisation. */
 using Combo = std::tuple<int, int>;
@@ -75,7 +93,8 @@ class PipelineInvariants : public ::testing::TestWithParam<Combo>
 TEST_P(PipelineInvariants, ConservationOfInstructions)
 {
     InstructionStream stream(bench(), 6000);
-    Pipeline pipe(stream, config());
+    Lane lane(stream, config());
+    Pipeline &pipe = lane.pipe;
     pipe.runInstructions(6000);
     const auto &a = pipe.intervalActivity();
     // Everything committed was dispatched; everything dispatched was
@@ -95,7 +114,8 @@ TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 {
     SimConfig cfg = config();
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, cfg);
+    Lane lane(stream, cfg);
+    Pipeline &pipe = lane.pipe;
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
     ASSERT_GT(a.cycles, 0u);
@@ -108,7 +128,8 @@ TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 TEST_P(PipelineInvariants, MissesNeverExceedAccesses)
 {
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, config());
+    Lane lane(stream, config());
+    Pipeline &pipe = lane.pipe;
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
     EXPECT_LE(a.il1Misses, a.il1Accesses);
@@ -125,7 +146,8 @@ TEST_P(PipelineInvariants, CyclesLowerBound)
 {
     SimConfig cfg = config();
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, cfg);
+    Lane lane(stream, cfg);
+    Pipeline &pipe = lane.pipe;
     pipe.runInstructions(4000);
     // Can't commit more than width per cycle.
     EXPECT_GE(pipe.now() * cfg.fetchWidth, 4000u);
@@ -159,7 +181,8 @@ TEST(PowerIdentity, WattsEqualsBreakdownSumOnRealActivity)
     const auto &bench = benchmarkByName("vortex");
     SimConfig cfg = SimConfig::baseline();
     InstructionStream stream(bench, 4000);
-    Pipeline pipe(stream, cfg);
+    Lane lane(stream, cfg);
+    Pipeline &pipe = lane.pipe;
     pipe.runInstructions(4000);
     PowerModel pm(cfg);
     const auto &a = pipe.intervalActivity();

@@ -11,10 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
+#include "linalg/matrix.hh"
 #include "mlmodel/fit_design.hh"
 #include "mlmodel/rbf_network.hh"
+#include "mlmodel/regression_tree.hh"
 #include "util/rng.hh"
 
 namespace wavedyn
@@ -222,6 +226,167 @@ TEST(FitDesign, RadiusOptionsMustMatchTheNetwork)
     FitDesign design(x, 2.0, 0.05);
     RbfNetwork net; // radiusScale 1.0
     EXPECT_THROW(net.fit(design, response(x, 0)), std::invalid_argument);
+}
+
+double
+plainDot(const std::vector<double> &a, const std::vector<double> &b)
+{
+    double acc = 0.0;
+    for (std::size_t r = 0; r < a.size(); ++r)
+        acc += a[r] * b[r];
+    return acc;
+}
+
+/** What the plain forward-GCV reference fitted. */
+struct PlainGcvFit
+{
+    std::string saved;             //!< in RbfNetwork::save() layout
+    std::size_t zeroProjections = 0; //!< live columns with p == 0.0
+};
+
+/**
+ * Forward GCV as plain modified Gram-Schmidt on the same candidates:
+ * after each selection, every live column is deflated (a projection
+ * of 0.0 included) and its squared norm and residual product are
+ * summed again from scratch, each a sequential chain from 0.0.
+ */
+PlainGcvFit
+plainForwardGcv(const Matrix &x, const std::vector<double> &y,
+                const RbfOptions &opts)
+{
+    FitDesign design(x, opts.radiusScale, opts.radiusFloor);
+    RegressionTree tree(opts.tree);
+    std::vector<std::size_t> ids;
+    tree.fit(design, y, &ids);
+    std::vector<const FitDesign::Node *> cand;
+    for (std::size_t id : ids)
+        cand.push_back(&design.response(id));
+
+    const std::size_t n = y.size(), m = cand.size();
+    double ymean = 0.0;
+    for (double v : y)
+        ymean += v;
+    ymean /= static_cast<double>(n);
+    std::vector<double> resid(n);
+    for (std::size_t r = 0; r < n; ++r)
+        resid[r] = y[r] - ymean;
+    std::vector<std::vector<double>> q(m, std::vector<double>(n));
+    std::vector<double> qq(m), qy(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t r = 0; r < n; ++r)
+            q[j][r] = cand[j]->column[r] - cand[j]->mean;
+        qq[j] = plainDot(q[j], q[j]);
+        qy[j] = plainDot(q[j], resid);
+    }
+    double sse = plainDot(resid, resid);
+    double denom0 = static_cast<double>(n - 1);
+    double bestGcv = static_cast<double>(n) * sse / (denom0 * denom0);
+
+    PlainGcvFit out;
+    const double normTol = 1e-10 * static_cast<double>(n);
+    std::vector<bool> used(m, false);
+    std::vector<std::size_t> selected;
+    while (selected.size() < std::min(opts.maxUnits, m) &&
+           selected.size() + 2 < n) {
+        double bestRed = 0.0;
+        std::size_t best = m;
+        for (std::size_t j = 0; j < m; ++j) {
+            if (used[j] || qq[j] < normTol)
+                continue;
+            double red = qy[j] * qy[j] / qq[j];
+            if (red > bestRed) {
+                bestRed = red;
+                best = j;
+            }
+        }
+        if (best == m)
+            break;
+        double newSse = std::max(sse - bestRed, 0.0);
+        double denom = static_cast<double>(n - selected.size() - 2);
+        double gcv = denom > 0.0
+                         ? static_cast<double>(n) * newSse / (denom * denom)
+                         : std::numeric_limits<double>::max();
+        if (gcv >= bestGcv)
+            break;
+        bestGcv = gcv;
+        sse = newSse;
+        used[best] = true;
+        selected.push_back(best);
+        const std::vector<double> &qb = q[best];
+        double coef = qy[best] / qq[best];
+        for (std::size_t r = 0; r < n; ++r)
+            resid[r] -= coef * qb[r];
+        for (std::size_t j = 0; j < m; ++j) {
+            if (used[j])
+                continue;
+            double p = plainDot(q[j], qb) / qq[best];
+            if (p == 0.0 && qq[j] >= normTol)
+                ++out.zeroProjections;
+            for (std::size_t r = 0; r < n; ++r)
+                q[j][r] -= p * qb[r];
+            qq[j] = plainDot(q[j], q[j]);
+            qy[j] = plainDot(q[j], resid);
+        }
+    }
+
+    // The exact refit on the selected columns, as the network does.
+    Matrix sel(n, selected.size() + 1);
+    for (std::size_t r = 0; r < n; ++r) {
+        sel.at(r, 0) = 1.0;
+        for (std::size_t c = 0; c < selected.size(); ++c)
+            sel.at(r, c + 1) = cand[selected[c]]->column[r];
+    }
+    SolveResult sol = ridgeSolve(sel, y, opts.ridgeLambda);
+    EXPECT_TRUE(sol.ok);
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << "rbf-network " << sol.x[0] << " " << selected.size() << " "
+       << (selected.empty() ? 0 : x.cols()) << "\n";
+    for (std::size_t c = 0; c < selected.size(); ++c) {
+        for (double v : cand[selected[c]]->center)
+            os << v << " ";
+        for (double v : cand[selected[c]]->radius)
+            os << v << " ";
+        os << sol.x[c + 1] << "\n";
+    }
+    out.saved = os.str();
+    return out;
+}
+
+TEST(FitDesign, ForwardGcvZeroProjectionMatchesPlainGramSchmidt)
+{
+    // A 2 x 2 x 2 factorial, four replicates, rows in (a, b, c) order
+    // with c fastest. A unit radius floor of 0.01 against a level gap
+    // of 0.5 underflows every response off its own levels to 0.0, and
+    // a radius scale of 1e9 flattens it to exactly 1.0 across the
+    // levels its node spans, so every unit column is the indicator of
+    // its node's rows and all deflation arithmetic on them is exact.
+    // Once a node B and then its ancestor C are selected, a child J of
+    // B deflates to +-1/2 on B (alternating rows) and 0 elsewhere,
+    // while C's column is one constant on B: the projection sums to
+    // exactly 0.0 although both columns are live on B, so only J's
+    // residual product moves. The response is one under which a stale
+    // residual product for such a column changes the selection.
+    Matrix x(32, 3);
+    for (std::size_t r = 0; r < 32; ++r)
+        for (std::size_t f = 0; f < 3; ++f)
+            x.at(r, f) = (r >> (2 - f)) & 1 ? 0.75 : 0.25;
+    const std::vector<double> y = {
+        0.7, 0.3, 0.2, 0.1, 0.1, 0.0, 0.1, 0.1,   //
+        0.6, 0.2, 0.3, 0.3, -0.1, -0.1, 0.1, 0.1, //
+        0.5, 0.4, 0.3, 0.1, 0.0, -0.1, 0.0, 0.0,  //
+        0.6, 0.3, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1};
+    RbfOptions opts;
+    opts.radiusScale = 1e9;
+    opts.radiusFloor = 0.01;
+
+    PlainGcvFit plain = plainForwardGcv(x, y, opts);
+    EXPECT_GT(plain.zeroProjections, 0u);
+    RbfNetwork net(opts);
+    net.fit(x, y);
+    std::ostringstream os;
+    net.save(os);
+    EXPECT_EQ(os.str(), plain.saved);
 }
 
 /**

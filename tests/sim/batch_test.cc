@@ -1,11 +1,11 @@
 /**
  * @file
- * Bit-identity tests of the config-batched simulation kernel: at
- * every batch width, every lane of simulateBatch() must return
- * byte-for-byte the SimResult scalar simulate() returns for that lane
- * alone. Byte-identity is checked through the cache record encoding
- * (encodeSimResult), which serialises doubles by bit pattern — the
- * strictest comparison the repo has.
+ * Lane-independence tests of the config-batched simulation kernel:
+ * at every batch width, every lane of simulateBatch() must return
+ * byte-for-byte the SimResult simulate() (a one-lane batch) returns
+ * for that lane alone. Byte-identity is checked through the cache
+ * record encoding (encodeSimResult), which serialises doubles by bit
+ * pattern — the strictest comparison the repo has.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +54,7 @@ generatedProfiles()
 }
 
 void
-expectBatchMatchesScalar(const BenchmarkProfile &bench, std::size_t width,
+expectBatchMatchesAlone(const BenchmarkProfile &bench, std::size_t width,
                          std::size_t samples, std::size_t perInterval,
                          const DvmConfig &dvm = {})
 {
@@ -66,9 +66,9 @@ expectBatchMatchesScalar(const BenchmarkProfile &bench, std::size_t width,
         simulateBatch(bench, cfgs, samples, perInterval, dvm);
     ASSERT_EQ(batched.size(), width);
     for (std::size_t l = 0; l < width; ++l) {
-        SimResult scalar =
+        SimResult alone =
             simulate(bench, cfgs[l], samples, perInterval, dvm);
-        EXPECT_TRUE(sameBytes(batched[l], scalar))
+        EXPECT_TRUE(sameBytes(batched[l], alone))
             << bench.name << " width=" << width << " lane=" << l;
     }
 }
@@ -77,21 +77,21 @@ TEST(SimulateBatch, BitIdenticalAcrossGeneratedFamilies)
 {
     for (const BenchmarkProfile &bench : generatedProfiles())
         for (std::size_t width : {1u, 2u, 7u})
-            expectBatchMatchesScalar(bench, width, 6, 192);
+            expectBatchMatchesAlone(bench, width, 6, 192);
 }
 
 TEST(SimulateBatch, BitIdenticalOnPaperBenchmark)
 {
     const BenchmarkProfile &gcc = benchmarkByName("gcc");
     for (std::size_t width : {1u, 2u, 7u, 64u})
-        expectBatchMatchesScalar(gcc, width, 6, 192);
+        expectBatchMatchesAlone(gcc, width, 6, 192);
 }
 
 TEST(SimulateBatch, BitIdenticalAtWideWidthOnGeneratedFamily)
 {
     // One wide batch on a generated family keeps the arena and the
     // shared-window trim under more lanes than the scheduler default.
-    expectBatchMatchesScalar(
+    expectBatchMatchesAlone(
         ScenarioGenerator(WorkloadFamily::Mixed, 7).generate(0), 64, 4,
         160);
 }
@@ -100,34 +100,9 @@ TEST(SimulateBatch, BitIdenticalWithDvmEnabled)
 {
     DvmConfig dvm;
     dvm.enabled = true;
-    expectBatchMatchesScalar(
+    expectBatchMatchesAlone(
         ScenarioGenerator(WorkloadFamily::PhaseChaotic, 7).generate(0),
         7, 6, 192, dvm);
-}
-
-TEST(SimulateBatch, MixedLanesCarryTheirOwnDvmPolicy)
-{
-    // The BatchLane overload: lanes differ in machine config AND in
-    // DVM policy within one batch; each must match the scalar run
-    // under its own policy.
-    const BenchmarkProfile bench =
-        ScenarioGenerator(WorkloadFamily::BranchyIrregular, 7)
-            .generate(0);
-    std::vector<BatchLane> lanes;
-    for (std::size_t l = 0; l < 6; ++l) {
-        BatchLane lane;
-        lane.config = laneConfig(l);
-        lane.dvm.enabled = (l % 2) == 1;
-        lane.dvm.threshold = 0.05 + 0.01 * static_cast<double>(l);
-        lanes.push_back(lane);
-    }
-    std::vector<SimResult> batched = simulateBatch(bench, lanes, 6, 192);
-    ASSERT_EQ(batched.size(), lanes.size());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-        SimResult scalar = simulate(bench, lanes[l].config, 6, 192,
-                                    lanes[l].dvm);
-        EXPECT_TRUE(sameBytes(batched[l], scalar)) << "lane " << l;
-    }
 }
 
 TEST(SimulateBatch, IdenticalConfigsProduceIdenticalLanes)

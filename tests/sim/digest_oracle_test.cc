@@ -1,7 +1,7 @@
 /**
  * @file
  * The frozen SimResult oracle: every tuple of sim_oracle.hh, run
- * through scalar simulate() and as a lane of a 16-lane
+ * through simulate() (a one-lane batch) and as a lane of a 16-lane
  * simulateBatch(), must reproduce its checked-in digest exactly.
  * tests/data/sim_digests.txt is never regenerated; an intended change
  * to what the simulator computes bumps kSimVersion and replaces the
@@ -55,30 +55,31 @@ TEST(SimDigestOracle, ScalarSimulateMatches)
 
 TEST(SimDigestOracle, Batch16LanesMatch)
 {
-    // All 12 (config, DVM) tuples of a benchmark in one batch, padded
-    // to 16 lanes with repeats, so idle-skipping lanes run beside
-    // DVM lanes that cannot skip.
+    // Each DVM setting of a benchmark as its own batch: all 6 configs,
+    // padded to 16 lanes with repeats.
     std::map<std::string, std::uint64_t> table = oracle::load();
     ASSERT_EQ(table.size(), kTuples);
-    for (const BenchmarkProfile &b : oracle::benchmarks()) {
-        std::vector<BatchLane> lanes;
-        std::vector<std::string> keys;
-        for (const auto &c : oracle::configs())
-            for (bool dvmOn : {false, true}) {
-                lanes.push_back(BatchLane{c.second, oracle::dvm(dvmOn)});
+    for (const BenchmarkProfile &b : oracle::benchmarks())
+        for (bool dvmOn : {false, true}) {
+            std::vector<SimConfig> configs;
+            std::vector<std::string> keys;
+            for (const auto &c : oracle::configs()) {
+                configs.push_back(c.second);
                 keys.push_back(oracle::key(b.name, c.first, dvmOn));
             }
-        for (std::size_t i = 0; lanes.size() < 16; ++i) {
-            lanes.push_back(lanes[i * 3 % 12]);
-            keys.push_back(keys[i * 3 % 12]);
+            const std::size_t distinct = configs.size();
+            for (std::size_t i = 0; configs.size() < 16; ++i) {
+                configs.push_back(configs[i * 5 % distinct]);
+                keys.push_back(keys[i * 5 % distinct]);
+            }
+            std::vector<SimResult> results =
+                simulateBatch(b, configs, oracle::kSamples,
+                              oracle::kInterval, oracle::dvm(dvmOn));
+            ASSERT_EQ(results.size(), 16u);
+            for (std::size_t l = 0; l < results.size(); ++l)
+                EXPECT_EQ(oracle::digest(results[l]), table[keys[l]])
+                    << keys[l] << " lane " << l;
         }
-        std::vector<SimResult> results = simulateBatch(
-            b, lanes, oracle::kSamples, oracle::kInterval);
-        ASSERT_EQ(results.size(), 16u);
-        for (std::size_t l = 0; l < results.size(); ++l)
-            EXPECT_EQ(oracle::digest(results[l]), table[keys[l]])
-                << keys[l] << " lane " << l;
-    }
 }
 
 } // namespace

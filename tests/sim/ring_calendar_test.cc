@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the pipeline's hot-path containers: the fixed-
  * capacity RingBuffer behind the ROB/fetch queue and the CalendarQueue
- * behind completion events. The calendar queue's drain order is
- * checked against the std::priority_queue it replaced — within-cycle
- * order is bit-significant for the simulation (FP AVF accumulation).
+ * behind completion events, both carved from a BatchArena. The
+ * calendar queue's drain order is checked against the
+ * std::priority_queue it replaced — within-cycle order is
+ * bit-significant for the simulation (FP AVF accumulation).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/batch_arena.hh"
 #include "sim/calendar_queue.hh"
 #include "sim/ring_buffer.hh"
 #include "util/rng.hh"
@@ -23,20 +25,25 @@ namespace wavedyn
 namespace
 {
 
+/** Slab for one test's containers; requests beyond it overflow. */
+constexpr std::size_t kSlab = 4096;
+
 TEST(RingBuffer, CapacityRoundsUpToPowerOfTwo)
 {
-    EXPECT_EQ(RingBuffer<int>(1).capacity(), 1u);
-    EXPECT_EQ(RingBuffer<int>(2).capacity(), 2u);
-    EXPECT_EQ(RingBuffer<int>(3).capacity(), 4u);
-    EXPECT_EQ(RingBuffer<int>(96).capacity(), 128u);
-    EXPECT_EQ(RingBuffer<int>(128).capacity(), 128u);
-    EXPECT_EQ(RingBuffer<int>(160).capacity(), 256u);
-    EXPECT_GE(RingBuffer<int>(0).capacity(), 1u);
+    BatchArena arena(kSlab);
+    EXPECT_EQ(RingBuffer<int>(1, arena).capacity(), 1u);
+    EXPECT_EQ(RingBuffer<int>(2, arena).capacity(), 2u);
+    EXPECT_EQ(RingBuffer<int>(3, arena).capacity(), 4u);
+    EXPECT_EQ(RingBuffer<int>(96, arena).capacity(), 128u);
+    EXPECT_EQ(RingBuffer<int>(128, arena).capacity(), 128u);
+    EXPECT_EQ(RingBuffer<int>(160, arena).capacity(), 256u);
+    EXPECT_GE(RingBuffer<int>(0, arena).capacity(), 1u);
 }
 
 TEST(RingBuffer, FifoOrderAcrossWraps)
 {
-    RingBuffer<int> rb(4);
+    BatchArena arena(kSlab);
+    RingBuffer<int> rb(4, arena);
     int next_in = 0, next_out = 0;
     // Push/pop in a pattern that wraps the ring many times.
     for (int round = 0; round < 100; ++round) {
@@ -57,7 +64,8 @@ TEST(RingBuffer, FifoOrderAcrossWraps)
 
 TEST(RingBuffer, IndexingIsFrontRelative)
 {
-    RingBuffer<int> rb(8);
+    BatchArena arena(kSlab);
+    RingBuffer<int> rb(8, arena);
     for (int i = 0; i < 5; ++i)
         rb.push_back(i);
     rb.pop_front();
@@ -76,7 +84,8 @@ TEST(RingBuffer, SlotsStayPutWhileAlive)
 {
     // Pointers into the ring stay valid until that element pops —
     // the pipeline's IQ list holds references across cycles.
-    RingBuffer<int> rb(4);
+    BatchArena arena(kSlab);
+    RingBuffer<int> rb(4, arena);
     rb.push_back(10);
     rb.push_back(20);
     int *p = &rb[1];
@@ -88,7 +97,8 @@ TEST(RingBuffer, SlotsStayPutWhileAlive)
 
 TEST(RingBuffer, ClearEmpties)
 {
-    RingBuffer<int> rb(4);
+    BatchArena arena(kSlab);
+    RingBuffer<int> rb(4, arena);
     rb.push_back(1);
     rb.push_back(2);
     rb.clear();
@@ -99,7 +109,8 @@ TEST(RingBuffer, ClearEmpties)
 
 TEST(CalendarQueue, DrainsAtExactCycle)
 {
-    CalendarQueue cq(16);
+    BatchArena arena(kSlab);
+    CalendarQueue cq(16, 64, arena);
     cq.schedule(0, 3, 100);
     cq.schedule(0, 5, 101);
     std::vector<std::uint64_t> seen;
@@ -116,7 +127,8 @@ TEST(CalendarQueue, WithinCycleOrderIsAscendingSeq)
     // Insertion order deliberately scrambled: out-of-order issue can
     // schedule a younger instruction's completion before an older
     // one's for the same cycle.
-    CalendarQueue cq(8);
+    BatchArena arena(kSlab);
+    CalendarQueue cq(8, 64, arena);
     cq.schedule(0, 4, 9);
     cq.schedule(1, 4, 2);
     cq.schedule(2, 4, 7);
@@ -129,7 +141,8 @@ TEST(CalendarQueue, WithinCycleOrderIsAscendingSeq)
 
 TEST(CalendarQueue, GrowsBeyondInitialHorizon)
 {
-    CalendarQueue cq(4);
+    BatchArena arena(kSlab);
+    CalendarQueue cq(4, 64, arena);
     cq.schedule(0, 2, 1);
     cq.schedule(0, 1000, 2); // far beyond the horizon: forces growth
     cq.schedule(0, 3, 3);
@@ -145,6 +158,37 @@ TEST(CalendarQueue, GrowsBeyondInitialHorizon)
     EXPECT_EQ(seen[2], (Event{1000, 2}));
 }
 
+TEST(CalendarQueue, NodePoolOverflowKeepsDrainOrder)
+{
+    // A carved pool of 2 nodes against 24 pending events: the pool
+    // moves to owned storage (twice, while events are pending) and
+    // must drain exactly what a heap pops.
+    using Event = std::pair<std::uint64_t, std::uint64_t>;
+    BatchArena arena(kSlab);
+    CalendarQueue cq(16, 2, arena);
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
+        ref;
+    for (std::uint64_t k = 0; k < 24; ++k) {
+        std::uint64_t at = 1 + (k * 7) % 12;
+        std::uint64_t seq = (k * 11) % 24;
+        cq.schedule(0, at, seq);
+        ref.push({at, seq});
+    }
+    EXPECT_EQ(cq.pending(), 24u);
+    EXPECT_EQ(arena.overflowAllocations(), 0u); // growth is owned
+    std::vector<Event> calendarOut, refOut;
+    for (std::uint64_t c = 1; c <= 12; ++c)
+        cq.drain(c, [&](std::uint64_t seq) {
+            calendarOut.push_back({c, seq});
+        });
+    while (!ref.empty()) {
+        refOut.push_back(ref.top());
+        ref.pop();
+    }
+    EXPECT_EQ(calendarOut, refOut);
+    EXPECT_EQ(cq.pending(), 0u);
+}
+
 TEST(CalendarQueue, MatchesPriorityQueueReferenceRandomised)
 {
     // Randomised equivalence against the heap the calendar replaced:
@@ -152,7 +196,8 @@ TEST(CalendarQueue, MatchesPriorityQueueReferenceRandomised)
     using Event = std::pair<std::uint64_t, std::uint64_t>;
     Rng rng(0xca1e);
     for (int round = 0; round < 20; ++round) {
-        CalendarQueue cq(32);
+        BatchArena arena(kSlab);
+        CalendarQueue cq(32, 64, arena);
         std::priority_queue<Event, std::vector<Event>,
                             std::greater<Event>>
             ref;

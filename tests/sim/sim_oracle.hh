@@ -29,6 +29,7 @@
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
+#include "workload/shared_decode.hh"
 
 namespace wavedyn
 {
@@ -124,7 +125,7 @@ key(const std::string &bench, const std::string &cfg, bool dvmOn)
     return bench + " " + cfg + (dvmOn ? " dvm1" : " dvm0");
 }
 
-/** One run through a Pipeline with the idle fast-forward armed. */
+/** One run through a Pipeline, with its idle fast-forward count. */
 struct IdleSkipRun
 {
     SimResult result;
@@ -133,19 +134,22 @@ struct IdleSkipRun
 };
 
 /**
- * simulate()'s warmup/interval driver over one Pipeline, but with
- * setIdleSkip(true) as the batch kernel arms it; the result must
- * equal simulate()'s byte for byte.
+ * simulate()'s warmup/interval loop over one Pipeline, built the
+ * one way simulateBatch() builds a lane; the result must equal
+ * simulate()'s byte for byte. It exists because SimResult does not
+ * carry the skipped-cycle count.
  */
 inline IdleSkipRun
-runIdleSkip(const BenchmarkProfile &bench, const SimConfig &cfg)
+runIdleSkip(const BenchmarkProfile &bench, const SimConfig &cfg,
+            const DvmConfig &dvmCfg = {})
 {
     std::uint64_t body =
         static_cast<std::uint64_t>(kSamples) * kInterval;
     std::uint64_t warmup = body / 8;
     InstructionStream stream(bench, warmup + body);
-    Pipeline pipe(stream, cfg);
-    pipe.setIdleSkip(true);
+    SharedOpWindow ops(stream);
+    BatchArena arena(Pipeline::arenaBytes(cfg));
+    Pipeline pipe(cfg, dvmCfg, ops, arena);
     PowerModel power(cfg);
     pipe.runInstructions(warmup);
     IdleSkipRun run;

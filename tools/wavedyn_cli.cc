@@ -188,8 +188,8 @@ usage()
         "              reports are identical for every N)\n"
         "  --batch-width N  fold up to N same-shape cache-missing runs\n"
         "              into one config-batched simulation (default:\n"
-        "              WAVEDYN_BATCH_WIDTH or 16; 1 = unbatched;\n"
-        "              reports are identical for every N)\n"
+        "              WAVEDYN_BATCH_WIDTH or 16; 1 = one configuration\n"
+        "              per batch; reports are identical for every N)\n"
         "  --format F  report format: text (default), markdown, csv,\n"
         "              json\n"
         "  --out PATH  write the report to PATH instead of stdout\n"
